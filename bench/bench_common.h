@@ -506,9 +506,12 @@ decltype(auto) with_series_tm(TmUniverse<H>& universe, Series series,
       return fn(tm);
     }
     case Series::kTatas: {
-      typename TatasElision<H>::Config cfg;
+      // TATAS lock elision: HtmOnly with an elision budget.
+      typename HtmOnly<H>::Config cfg;
       cfg.inject_abort_bp = inject_bp;
-      TatasElision<H> tm(universe, cfg);
+      cfg.max_hw_attempts = 8;
+      cfg.capacity_retries = 2;
+      HtmOnly<H> tm(universe, cfg);
       return fn(tm);
     }
     case Series::kTl2: break;

@@ -12,8 +12,8 @@
 //
 // Linking decides the scenario set: bench/run_all.cpp provides main(), so
 // an executable built from it plus any subset of bench/scenario_*.cpp files
-// is a driver over exactly that subset — `run_all` links all of them, each
-// legacy binary (fig1_rbtree, ...) links just its own.
+// is a driver over exactly that subset — `run_all` links all of them, and
+// tests/registry_smoke_test links all of them behind its own main().
 
 #include <algorithm>
 #include <vector>

@@ -72,6 +72,17 @@ class GlobalVersionClock {
   /// The cell backing the counter — hardware paths subscribe through this.
   [[nodiscard]] TmCell& cell() { return cell_; }
 
+  /// Write-version for a hardware commit, inside transaction `t`: the
+  /// clock re-read in-transaction plus one (provably newer than any
+  /// concurrent software reader's read-version), stored back to the cell
+  /// when the mode writes the clock in-transaction.
+  template <class Tx>
+  TmWord hw_next(Tx& t) {
+    const TmWord wv = t.load(cell_) + 1;
+    if (hw_writes_clock()) t.store(cell_, wv);
+    return wv;
+  }
+
   /// Read-version sample. Cached mode reads the caller's socket cache:
   /// stale-low is safe (extra aborts at worst), and the load stays on a
   /// socket-local line.

@@ -13,10 +13,10 @@
 //    drags every thread into the STM phase until the stragglers drain.
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include "core/htm_only.h"
 #include "core/tl2.h"
 
 namespace rhtm {
@@ -33,25 +33,14 @@ class HybridNorec {
     unsigned capacity_retries = 2;
   };
 
-  class ThreadCtx {
+  class ThreadCtx : public ThreadCtxBase<H> {
    public:
     explicit ThreadCtx(HybridNorec& tm)
-        : tx_(tm.u_.htm()),
-          rng_(detail::next_ctx_seed()),
-          cm_(tm.u_.config().cm,
-              ContentionManager::Limits{0, tm.cfg_.max_hw_attempts,
-                                        tm.cfg_.capacity_retries}),
-          trace_(tm.u_.acquire_trace_ring()) {
-      cm_.set_trace(trace_);
-    }
-    TxStats stats;
+        : ThreadCtxBase<H>(tm.u_, ContentionManager::Limits{0, tm.cfg_.max_hw_attempts,
+                                                            tm.cfg_.capacity_retries}) {}
 
    private:
     friend class HybridNorec;
-    typename H::Tx tx_;
-    Xoshiro256 rng_;
-    ContentionManager cm_;
-    trace::TraceRing* trace_;
     WriteSet ws_;
     std::vector<std::pair<const TmCell*, TmWord>> read_log_;  ///< value-based (NOrec)
     std::vector<pmem::CapturedWrite> hw_redo_;  ///< durable: hw-path write capture
@@ -62,7 +51,7 @@ class HybridNorec {
 
   template <class Body>
   void atomically(ThreadCtx& ctx, Body&& body) {
-    detail::timed_section(ctx.stats, [&] { run(ctx, body); });
+    ctx.transaction([&] { run(ctx, body); });
   }
 
  private:
@@ -77,6 +66,43 @@ class HybridNorec {
       wrote = true;
       t.store(c, v);
       if (redo != nullptr) redo->push_back({&c, v});
+    }
+  };
+
+  /// Hardware attempt: subscribe to the sequence lock, run plain, and have
+  /// a writer bump the sequence at its commit point.
+  struct Hooks {
+    HybridNorec& tm;
+    ThreadCtx& ctx;
+    bool durable;
+    bool wrote = false;
+    TmWord s0 = 0;  ///< the sequence value the attempt subscribed at
+
+    bool ready() {
+      wrote = false;
+      if (durable) ctx.hw_redo_.clear();  // aborted attempts leave entries behind
+      return true;
+    }
+    void subscribe(typename H::Tx& t) {
+      s0 = t.load(tm.u_.norec_seq_word());
+      if ((s0 & 1) != 0) t.abort_explicit();
+    }
+    HwHandle handle(typename H::Tx& t) {
+      return HwHandle{t, wrote, durable ? &ctx.hw_redo_ : nullptr};
+    }
+    void stamp(typename H::Tx& t) {
+      // Durable writers come out of _xend still HOLDING the sequence lock
+      // (odd): the values are in memory, but every concurrent reader —
+      // hardware txns subscribe to the sequence, software revalidates
+      // against it — is fenced out until the post-_xend persist releases
+      // it. The non-durable commit bump releases immediately (s0 + 2).
+      if (wrote) t.store(tm.u_.norec_seq_word(), durable ? s0 + 1 : s0 + 2);
+    }
+    void committed() {
+      if (!durable || !wrote) return;
+      detail::durable_persist(tm.u_, ctx, ctx.hw_redo_, pmem::kPathNorecHw,
+                              /*publish=*/false);
+      tm.u_.htm().nontx_store(tm.u_.norec_seq_word(), s0 + 2);
     }
   };
 
@@ -99,7 +125,7 @@ class HybridNorec {
           detail::cpu_relax();
           continue;
         }
-        if (tm.seq_.word.load(std::memory_order_acquire) != snapshot) {
+        if (tm.u_.htm().nontx_load(tm.u_.norec_seq_word()) != snapshot) {
           snapshot = tm.revalidate(ctx);
           continue;
         }
@@ -120,121 +146,46 @@ class HybridNorec {
 
   template <class Body>
   void run(ThreadCtx& ctx, Body& body) {
-    trace::tx_begin(ctx.trace_);
-    const bool durable = u_.durable();
     // max_hw_attempts == 0 disables the hardware path outright (the crash
     // harness uses it to force the software commit path deterministically).
-    if (cfg_.max_hw_attempts == 0 || ctx.cm_.start_in_software()) {
+    if (cfg_.max_hw_attempts == 0 || ctx.cm().start_in_software()) {
       run_software(ctx, body);
       return;
     }
-    for (;;) {
-      ctx.stats.count_attempt(ExecPath::kHtm);
-      trace::attempt(ctx.trace_, ExecPath::kHtm);
-      const bool poison = injector_.fire(ctx.rng_);
-      bool wrote = false;
-      if (durable) ctx.hw_redo_.clear();  // aborted attempts leave entries behind
-      TmWord seq_held = 0;
-      const HtmOutcome out = u_.htm().execute(ctx.tx_, [&](typename H::Tx& t) {
-        const TmWord s0 = t.load(seq_);  // subscribe to the global sequence lock
-        if ((s0 & 1) != 0) t.abort_explicit();
-        if (poison) t.poison();
-        HwHandle h{t, wrote, durable ? &ctx.hw_redo_ : nullptr};
-        body(h);
-        // Durable writers come out of _xend still HOLDING the sequence lock
-        // (odd): the values are in memory, but every concurrent reader —
-        // hardware txns subscribe to seq_, software revalidates against it —
-        // is fenced out until the post-_xend persist releases it. The
-        // non-durable commit bump releases immediately (s0 + 2).
-        if (wrote) t.store(seq_, durable ? s0 + 1 : s0 + 2);
-        seq_held = s0;
-      });
-      if (out.ok()) {
-        if (durable && wrote) {
-          PersistentDomain& pd = u_.pmem();
-          const std::uint64_t t0 = rdtsc();
-          const std::uint64_t txid = pd.durable_log(ctx.hw_redo_, pmem::kPathNorecHw);
-          const std::uint64_t t1 = rdtsc();
-          trace::durable_phase(ctx.trace_, trace::EventKind::kDurLog, t1 - t0);
-          pd.durable_mark(txid, pmem::kPathNorecHw);
-          const std::uint64_t t2 = rdtsc();
-          trace::durable_phase(ctx.trace_, trace::EventKind::kDurMark, t2 - t1);
-          pd.durable_apply(ctx.hw_redo_, pmem::kPathNorecHw);
-          trace::durable_phase(ctx.trace_, trace::EventKind::kDurApply, rdtsc() - t2);
-          seq_.word.store(seq_held + 2, std::memory_order_release);
-        }
-        ctx.stats.count_commit(ExecPath::kHtm);
-        trace::commit(ctx.trace_, ExecPath::kHtm);
-        ctx.cm_.on_hardware_commit();
-        return;
-      }
-      ctx.stats.count_abort(to_abort_cause(out.status));
-      trace::abort(ctx.trace_, to_abort_cause(out.status));
-      if (ctx.cm_.give_up_hardware(to_abort_cause(out.status), ctx.rng_)) break;
-      ctx.cm_.backoff_hardware();
+    if (ctx.run_hardware(u_.htm(), injector_, ExecPath::kHtm, Hooks{*this, ctx, u_.durable()},
+                         body)) {
+      return;
     }
-    trace::escalate(ctx.trace_, ExecPath::kStm);
+    ctx.record_escalate(ExecPath::kStm);
     run_software(ctx, body);
   }
 
   template <class Body>
   void run_software(ThreadCtx& ctx, Body& body) {
-    ctx.cm_.begin_software();
-    for (;;) {
-      ctx.stats.count_attempt(ExecPath::kStm);
-      trace::attempt(ctx.trace_, ExecPath::kStm);
+    TmCell& seq = u_.norec_seq_word();
+    ctx.run_software(ExecPath::kStm, nullptr, [&](ExecPath) -> std::optional<ExecPath> {
       ctx.ws_.clear();
       ctx.read_log_.clear();
       TmWord snapshot = wait_quiescent();
-      try {
-        SwHandle h{*this, ctx, snapshot};
-        body(h);
-        if (!ctx.ws_.empty()) {
-          for (;;) {  // acquire the sequence lock at our validated snapshot
-            TmWord expected = snapshot;
-            if (seq_.word.compare_exchange_strong(expected, snapshot + 1,
-                                                  std::memory_order_acq_rel)) {
-              break;
-            }
-            snapshot = revalidate(ctx);
-          }
-          if (u_.durable()) {
-            // Sequence lock held (odd) across the whole persist: log + mark
-            // before values become visible, apply before release — readers
-            // never consume a value that is not yet durably marked.
-            PersistentDomain& pd = u_.pmem();
-            const std::uint64_t t0 = rdtsc();
-            const std::uint64_t txid =
-                pd.durable_log(ctx.ws_.entries(), pmem::kPathNorecSw);
-            const std::uint64_t t1 = rdtsc();
-            trace::durable_phase(ctx.trace_, trace::EventKind::kDurLog, t1 - t0);
-            pd.durable_mark(txid, pmem::kPathNorecSw);
-            trace::durable_phase(ctx.trace_, trace::EventKind::kDurMark, rdtsc() - t1);
-            u_.htm().nontx_publish(ctx.ws_.entries());
-            const std::uint64_t t2 = rdtsc();
-            pd.durable_apply(ctx.ws_.entries(), pmem::kPathNorecSw);
-            trace::durable_phase(ctx.trace_, trace::EventKind::kDurApply, rdtsc() - t2);
-          } else {
-            u_.htm().nontx_publish(ctx.ws_.entries());
-          }
-          seq_.word.store(snapshot + 2, std::memory_order_release);
-        }
-      } catch (const detail::StmAbort& a) {
-        ctx.stats.count_abort(a.cause);
-        trace::abort(ctx.trace_, a.cause);
-        ctx.cm_.backoff_software();
-        continue;
+      SwHandle h{*this, ctx, snapshot};
+      body(h);
+      if (!ctx.ws_.empty()) {
+        // Acquire the sequence lock at our validated snapshot, through the
+        // substrate so the CAS cannot land inside a simulated hardware
+        // commit's validate -> write-back window.
+        while (!u_.htm().nontx_cas(seq, snapshot, snapshot + 1)) snapshot = revalidate(ctx);
+        // Sequence lock held (odd) across the whole write-back: in durable
+        // mode log + mark before values become visible, apply before release.
+        detail::write_back(u_, ctx, ctx.ws_.entries(), pmem::kPathNorecSw);
+        u_.htm().nontx_store(seq, snapshot + 2);
       }
-      ctx.stats.count_commit(ExecPath::kStm);
-      trace::commit(ctx.trace_, ExecPath::kStm);
-      ctx.cm_.on_software_commit();
-      return;
-    }
+      return ExecPath::kStm;
+    });
   }
 
   TmWord wait_quiescent() {
     for (;;) {
-      const TmWord s = seq_.word.load(std::memory_order_acquire);
+      const TmWord s = u_.htm().nontx_load(u_.norec_seq_word());
       if ((s & 1) == 0) return s;
       detail::cpu_relax();
     }
@@ -250,14 +201,13 @@ class HybridNorec {
           throw detail::StmAbort{AbortCause::kStmValidation};
         }
       }
-      if (seq_.word.load(std::memory_order_acquire) == s) return s;
+      if (u_.htm().nontx_load(u_.norec_seq_word()) == s) return s;
     }
   }
 
   TmUniverse<H>& u_;
   Config cfg_;
   AbortInjector injector_;
-  TmCell seq_;  ///< global sequence lock: even = quiet, odd = writer committing
 };
 
 // ---------------------------------------------------------------------------
@@ -272,28 +222,15 @@ class PhasedTm {
     unsigned capacity_retries = 2;
   };
 
-  class ThreadCtx {
+  class ThreadCtx : public ThreadCtxBase<H> {
    public:
     explicit ThreadCtx(PhasedTm& tm)
-        : tx_(tm.u_.htm()),
-          rng_(detail::next_ctx_seed()),
-          cm_(tm.u_.config().cm,
-              ContentionManager::Limits{0, tm.cfg_.max_hw_attempts,
-                                        tm.cfg_.capacity_retries}),
-          trace_(tm.u_.acquire_trace_ring()) {
-      cm_.set_trace(trace_);
-    }
-    TxStats stats;
+        : ThreadCtxBase<H>(tm.u_, ContentionManager::Limits{0, tm.cfg_.max_hw_attempts,
+                                                            tm.cfg_.capacity_retries}) {}
 
    private:
     friend class PhasedTm;
-    typename H::Tx tx_;
-    Xoshiro256 rng_;
-    ContentionManager cm_;
-    trace::TraceRing* trace_;
-    ReadSet rs_;
-    WriteSet ws_;
-    std::vector<std::uint32_t> lock_scratch_;
+    detail::Tl2Sets sw_;
   };
 
   explicit PhasedTm(TmUniverse<H>& u, Config cfg = {})
@@ -301,58 +238,46 @@ class PhasedTm {
 
   template <class Body>
   void atomically(ThreadCtx& ctx, Body&& body) {
-    detail::timed_section(ctx.stats, [&] { run(ctx, body); });
+    ctx.transaction([&] { run(ctx, body); });
   }
 
   /// Exposed for tests: number of transactions currently in software mode.
-  [[nodiscard]] TmWord software_pending() const { return phase_.unsafe_load(); }
+  [[nodiscard]] TmWord software_pending() const { return u_.phase_word().unsafe_load(); }
 
  private:
+  /// Hardware attempt: only while no software phase is active, and
+  /// subscribed to the phase word so a phase flip aborts it.
+  struct Hooks : detail::HwHooks {
+    TmUniverse<H>& u;
+    bool ready() { return u.htm().nontx_load(u.phase_word()) == 0; }
+    template <class Tx>
+    void subscribe(Tx& t) {
+      if (t.load(u.phase_word()) != 0) t.abort_explicit();
+    }
+  };
+
   template <class Body>
   void run(ThreadCtx& ctx, Body& body) {
     // Durable universes always run the software phase: the uninstrumented
     // hardware handle captures no redo, so its commits could not be logged.
     // (HybridTm's fast path shows what a durable hardware phase costs; the
     // phased design's whole point is zero instrumentation, so it opts out.)
-    trace::tx_begin(ctx.trace_);
-    if (!u_.durable() && cfg_.max_hw_attempts > 0 && !ctx.cm_.start_in_software()) {
-      for (;;) {
-        if (phase_.word.load(std::memory_order_acquire) != 0) break;  // SW phase active
-        ctx.stats.count_attempt(ExecPath::kHtm);
-        trace::attempt(ctx.trace_, ExecPath::kHtm);
-        const bool poison = injector_.fire(ctx.rng_);
-        const HtmOutcome out = u_.htm().execute(ctx.tx_, [&](typename H::Tx& t) {
-          if (t.load(phase_) != 0) t.abort_explicit();  // subscribe to the phase word
-          if (poison) t.poison();
-          detail::HwPlainHandle<typename H::Tx> h{t};
-          body(h);
-        });
-        if (out.ok()) {
-          ctx.stats.count_commit(ExecPath::kHtm);
-          trace::commit(ctx.trace_, ExecPath::kHtm);
-          ctx.cm_.on_hardware_commit();
-          return;
-        }
-        ctx.stats.count_abort(to_abort_cause(out.status));
-        trace::abort(ctx.trace_, to_abort_cause(out.status));
-        if (ctx.cm_.give_up_hardware(to_abort_cause(out.status), ctx.rng_)) break;
-        ctx.cm_.backoff_hardware();
-      }
+    if (!u_.durable() && cfg_.max_hw_attempts > 0 && !ctx.cm().start_in_software() &&
+        ctx.run_hardware(u_.htm(), injector_, ExecPath::kHtm, Hooks{{}, u_}, body)) {
+      return;
     }
     // Software phase: registering flips (or keeps) the phase word nonzero,
     // which aborts every in-flight hardware transaction and diverts new ones
     // here — the whole system pays STM until the count drains back to zero.
-    trace::escalate(ctx.trace_, ExecPath::kStm);
-    phase_.word.fetch_add(1, std::memory_order_acq_rel);
-    detail::tl2_run(u_, ctx.rs_, ctx.ws_, ctx.lock_scratch_, ctx.stats, ExecPath::kStm,
-                    ctx.cm_, ctx.trace_, body);
-    phase_.word.fetch_sub(1, std::memory_order_acq_rel);
+    ctx.record_escalate(ExecPath::kStm);
+    u_.htm().nontx_fetch_add(u_.phase_word(), 1);
+    detail::tl2_run(u_, ctx, ctx.sw_, body);
+    u_.htm().nontx_fetch_add(u_.phase_word(), ~TmWord{0});  // -1
   }
 
   TmUniverse<H>& u_;
   Config cfg_;
   AbortInjector injector_;
-  TmCell phase_;  ///< count of transactions currently executing in software
 };
 
 }  // namespace rhtm

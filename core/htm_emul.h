@@ -74,6 +74,12 @@ class HtmEmul {
     return c.word.load(std::memory_order_acquire);
   }
   void nontx_store(TmCell& c, TmWord v) { c.word.store(v, std::memory_order_release); }
+  bool nontx_cas(TmCell& c, TmWord expected, TmWord desired) {
+    return c.word.compare_exchange_strong(expected, desired, std::memory_order_acq_rel);
+  }
+  TmWord nontx_fetch_add(TmCell& c, TmWord delta) {
+    return c.word.fetch_add(delta, std::memory_order_acq_rel);
+  }
 
   template <class Entries>
   void nontx_publish(const Entries& entries) {

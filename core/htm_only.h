@@ -2,10 +2,18 @@
 
 // HtmOnly — the paper's "HTM" series: every transaction is one hardware
 // transaction with completely uninstrumented accesses. The only concession
-// to liveness is a global-seqlock fallback for transactions that
+// to liveness is the universe's fallback seqlock for transactions that
 // deterministically exceed the hardware budget (classic lock elision);
 // hardware attempts subscribe to the fallback lock so the two are mutually
 // atomic on the simulated substrate.
+//
+// With an elision budget (Config::max_hw_attempts > 0) the same protocol is
+// the TATAS lock-elision baseline (bench series "TATAS-Elide"): a
+// test-and-test-and-set lock whose critical sections speculate in hardware
+// with the lock word subscribed, and which is actually taken after the
+// budget. It has no STM, no stripe metadata and no concurrency in the
+// fallback, so its throughput isolates what the ContentionManager's retry
+// decisions are worth before any TM machinery is added.
 //
 // HtmOnly is NOT durable-capable: with zero instrumentation there is
 // nowhere to capture a redo log, so it ignores TmUniverse durability mode
@@ -14,59 +22,9 @@
 
 #include <cstdint>
 
-#include "core/stats.h"
-#include "core/universe.h"
+#include "core/tx_skeleton.h"
 
 namespace rhtm {
-
-namespace detail {
-
-/// Seqlock used as the non-speculative fallback: odd = held.
-class FallbackLock {
- public:
-  [[nodiscard]] TmCell& cell() { return cell_; }
-
-  void acquire() {
-    for (;;) {
-      TmWord s = cell_.word.load(std::memory_order_acquire);
-      if ((s & 1) == 0 &&
-          cell_.word.compare_exchange_weak(s, s + 1, std::memory_order_acq_rel)) {
-        return;
-      }
-      cpu_relax();
-    }
-  }
-  void release() { cell_.word.fetch_add(1, std::memory_order_acq_rel); }
-
-  /// Hardware-side subscription: read the lock word inside the transaction
-  /// and bail if it is held. Any later acquire/release changes the word, so
-  /// the simulated substrate's commit validation aborts the transaction.
-  template <class Tx>
-  void subscribe(Tx& t) {
-    if ((t.load(cell_) & 1) != 0) t.abort_explicit();
-  }
-
- private:
-  TmCell cell_;
-};
-
-/// Uninstrumented transactional accessors over a hardware transaction.
-template <class Tx>
-struct HwPlainHandle {
-  Tx& t;
-  TmWord load(const TmCell& c) { return t.load(c); }
-  void store(TmCell& c, TmWord v) { t.store(c, v); }
-};
-
-/// Plain accessors for code running under the fallback lock.
-template <class H>
-struct NonSpecHandle {
-  H& htm;
-  TmWord load(const TmCell& c) { return htm.nontx_load(c); }
-  void store(TmCell& c, TmWord v) { htm.nontx_store(c, v); }
-};
-
-}  // namespace detail
 
 template <class H>
 class HtmOnly {
@@ -74,79 +32,45 @@ class HtmOnly {
   struct Config {
     std::uint32_t inject_abort_bp = 0;
     unsigned capacity_retries = 4;  ///< capacity aborts before the lock fallback
+    unsigned max_hw_attempts = 0;   ///< hardware attempts before the lock; 0 = unbounded
   };
 
-  class ThreadCtx {
+  class ThreadCtx : public ThreadCtxBase<H> {
    public:
     explicit ThreadCtx(HtmOnly& tm)
-        : tx_(tm.u_.htm()),
-          rng_(detail::next_ctx_seed()),
-          cm_(tm.u_.config().cm,
-              ContentionManager::Limits{0, 0, tm.cfg_.capacity_retries}),
-          trace_(tm.u_.acquire_trace_ring()) {
-      cm_.set_trace(trace_);
-    }
-    TxStats stats;
-
-   private:
-    friend class HtmOnly;
-    typename H::Tx tx_;
-    Xoshiro256 rng_;
-    ContentionManager cm_;
-    trace::TraceRing* trace_;
+        : ThreadCtxBase<H>(tm.u_, ContentionManager::Limits{0, tm.cfg_.max_hw_attempts,
+                                                            tm.cfg_.capacity_retries}) {}
   };
 
-  explicit HtmOnly(TmUniverse<H>& u, Config cfg = {}) : u_(u), cfg_(cfg),
-                                                        injector_(cfg.inject_abort_bp) {}
+  explicit HtmOnly(TmUniverse<H>& u, Config cfg = {})
+      : u_(u), cfg_(cfg), injector_(cfg.inject_abort_bp) {}
 
   template <class Body>
   void atomically(ThreadCtx& ctx, Body&& body) {
-    detail::timed_section(ctx.stats, [&] { run(ctx, body); });
+    ctx.transaction([&] {
+      // Fixed policy gives up only on deterministic overflow (or the elision
+      // budget); adaptive may also retire a hopeless conflict streak.
+      if (!ctx.cm().start_in_software() &&
+          ctx.run_hardware(u_.htm(), injector_, ExecPath::kHtm, Hooks{{}, u_}, body)) {
+        return;
+      }
+      ctx.run_under_lock(u_, body);
+    });
   }
 
  private:
-  template <class Body>
-  void run(ThreadCtx& ctx, Body& body) {
-    trace::tx_begin(ctx.trace_);
-    if (!ctx.cm_.start_in_software()) {
-      for (;;) {
-        ctx.stats.count_attempt(ExecPath::kHtm);
-        trace::attempt(ctx.trace_, ExecPath::kHtm);
-        const bool poison = injector_.fire(ctx.rng_);
-        const HtmOutcome out = u_.htm().execute(ctx.tx_, [&](typename H::Tx& t) {
-          fallback_.subscribe(t);
-          if (poison) t.poison();
-          detail::HwPlainHandle<typename H::Tx> h{t};
-          body(h);
-        });
-        if (out.ok()) {
-          ctx.stats.count_commit(ExecPath::kHtm);
-          trace::commit(ctx.trace_, ExecPath::kHtm);
-          ctx.cm_.on_hardware_commit();
-          return;
-        }
-        ctx.stats.count_abort(to_abort_cause(out.status));
-        trace::abort(ctx.trace_, to_abort_cause(out.status));
-        // Fixed policy gives up only on deterministic overflow; adaptive may
-        // also retire a hopeless conflict streak to the lock.
-        if (ctx.cm_.give_up_hardware(to_abort_cause(out.status), ctx.rng_)) break;
-        ctx.cm_.backoff_hardware();
-      }
+  /// Plain accesses after subscribing to the fallback lock.
+  struct Hooks : detail::HwHooks {
+    TmUniverse<H>& u;
+    template <class Tx>
+    void subscribe(Tx& t) {
+      detail::subscribe_lock_word(t, u.fallback_lock_word());
     }
-    trace::fallback_lock(ctx.trace_);
-    fallback_.acquire();
-    detail::NonSpecHandle<H> h{u_.htm()};
-    body(h);
-    fallback_.release();
-    ctx.stats.count_commit(ExecPath::kHtm);
-    trace::commit(ctx.trace_, ExecPath::kHtm);
-    ctx.cm_.on_software_commit();
-  }
+  };
 
   TmUniverse<H>& u_;
   Config cfg_;
   AbortInjector injector_;
-  detail::FallbackLock fallback_;
 };
 
 }  // namespace rhtm

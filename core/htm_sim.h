@@ -183,6 +183,23 @@ class HtmSim {
     pub_.unlock();
   }
 
+  /// Non-transactional read-modify-writes, serialized against the commit
+  /// lock like nontx_store: a raw RMW could land between a hardware
+  /// commit's validation of the word and that commit's write-back, and the
+  /// write-back would then overwrite it.
+  bool nontx_cas(TmCell& c, TmWord expected, TmWord desired) {
+    pub_.lock();
+    const bool ok = c.word.compare_exchange_strong(expected, desired, std::memory_order_acq_rel);
+    pub_.unlock();
+    return ok;
+  }
+  TmWord nontx_fetch_add(TmCell& c, TmWord delta) {
+    pub_.lock();
+    const TmWord prev = c.word.fetch_add(delta, std::memory_order_acq_rel);
+    pub_.unlock();
+    return prev;
+  }
+
   /// Multi-word software publication (TL2 / slow-slow / NOrec write-back):
   /// holds the commit lock across the whole batch so a hardware commit's
   /// validation can never observe a half-published software commit, and

@@ -38,6 +38,7 @@
 // periodically; kAggressive holds on to hardware.
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -58,32 +59,17 @@ class HybridTm {
     unsigned capacity_retries = 2;      ///< fast-path capacity aborts before fallback
   };
 
-  class ThreadCtx {
+  class ThreadCtx : public ThreadCtxBase<H> {
    public:
     explicit ThreadCtx(HybridTm& tm)
-        : tx_(tm.u_.htm()),
-          rng_(detail::next_ctx_seed()),
-          cm_(tm.u_.config().cm,
-              ContentionManager::Limits{tm.cfg_.slow_retry_percent, 0,
-                                        tm.cfg_.capacity_retries}),
-          trace_(tm.u_.acquire_trace_ring()) {
-      cm_.set_trace(trace_);
-    }
-    TxStats stats;
-    /// The per-thread retry/escalation policy engine (tests introspect it).
-    [[nodiscard]] ContentionManager& cm() { return cm_; }
+        : ThreadCtxBase<H>(tm.u_, ContentionManager::Limits{tm.cfg_.slow_retry_percent, 0,
+                                                            tm.cfg_.capacity_retries}) {}
 
    private:
     friend class HybridTm;
-    typename H::Tx tx_;
-    Xoshiro256 rng_;
-    ContentionManager cm_;
-    trace::TraceRing* trace_;
-    ReadSet rs_;
-    WriteSet ws_;
+    detail::Tl2Sets sw_;
     StripeSet fast_written_;  ///< distinct stripes the fast path stamps
     std::vector<pmem::CapturedWrite> fast_redo_;  ///< durable: fast-path write capture
-    std::vector<std::uint32_t> lock_scratch_;
     StripeSet masks_;  ///< stripes with our RH2 read mask published (O(1) self test)
   };
 
@@ -92,8 +78,11 @@ class HybridTm {
 
   template <class Body>
   void atomically(ThreadCtx& ctx, Body&& body) {
-    detail::timed_section(ctx.stats, [&] { run(ctx, body); });
+    ctx.transaction([&] { run(ctx, body); });
   }
+
+  /// Exposed for tests: number of in-flight RH2 transactions.
+  [[nodiscard]] TmWord rh2_active() const { return u_.rh2_word().unsafe_load(); }
 
  private:
   // ---------------------------------------------------------------- fast --
@@ -129,52 +118,50 @@ class HybridTm {
     }
   };
 
+  /// The fast path's hooks: no subscription, the FastHandle, the stamp at
+  /// the commit point and, in durable mode, the post-_xend persist.
+  struct FastHooks : detail::HwHooks {
+    HybridTm& tm;
+    ThreadCtx& ctx;
+    bool durable;
+    TmWord wv = 0;  ///< commit version the durable unlock releases to
+
+    bool ready() {
+      ctx.fast_written_.clear();
+      if (durable) ctx.fast_redo_.clear();  // aborted attempts leave entries behind
+      return true;
+    }
+    FastHandle handle(typename H::Tx& t) {
+      return FastHandle{t, tm.u_.stripes(), ctx.fast_written_,
+                        durable ? &ctx.fast_redo_ : nullptr};
+    }
+    void stamp(typename H::Tx& t) { tm.fast_commit_stamp(t, ctx.fast_written_, &wv); }
+    void committed() {
+      if (ctx.fast_written_.empty()) return;
+      tm.u_.clock().note_hw_commit();
+      if (durable) {
+        tm.durable_publish(ctx, ctx.fast_redo_, ctx.fast_written_.items(), wv,
+                           pmem::kPathRh1Fast);
+      }
+    }
+  };
+
   template <class Body>
   void run(ThreadCtx& ctx, Body& body) {
-    trace::tx_begin(ctx.trace_);
     if (cfg_.force_slow_path || cfg_.force_rh2) {
       run_slow(ctx, body, cfg_.force_rh2);
       return;
     }
-    if (ctx.cm_.start_in_software()) {
+    if (ctx.cm().start_in_software()) {
       run_slow(ctx, body, false);  // adaptive software mode: skip doomed hardware
       return;
     }
-    for (;;) {
-      ctx.stats.count_attempt(ExecPath::kRh1Fast);
-      trace::attempt(ctx.trace_, ExecPath::kRh1Fast);
-      const bool poison = injector_.fire(ctx.rng_);
-      const bool durable = u_.durable();
-      ctx.fast_written_.clear();
-      if (durable) ctx.fast_redo_.clear();  // aborted attempts leave entries behind
-      TmWord fast_wv = 0;
-      const HtmOutcome out = u_.htm().execute(ctx.tx_, [&](typename H::Tx& t) {
-        if (poison) t.poison();
-        FastHandle h{t, u_.stripes(), ctx.fast_written_,
-                     durable ? &ctx.fast_redo_ : nullptr};
-        body(h);
-        fast_commit_stamp(t, ctx.fast_written_, &fast_wv);
-      });
-      if (out.ok()) {
-        if (!ctx.fast_written_.empty()) u_.clock().note_hw_commit();
-        if (durable && !ctx.fast_written_.empty()) {
-          durable_publish(ctx.fast_redo_, ctx.fast_written_.items(), fast_wv,
-                          pmem::kPathRh1Fast, ctx.trace_);
-        }
-        ctx.stats.count_commit(ExecPath::kRh1Fast);
-        trace::commit(ctx.trace_, ExecPath::kRh1Fast);
-        ctx.cm_.on_hardware_commit();
-        return;
-      }
-      ctx.stats.count_abort(to_abort_cause(out.status));
-      trace::abort(ctx.trace_, to_abort_cause(out.status));
-      if (ctx.cm_.give_up_hardware(to_abort_cause(out.status), ctx.rng_)) {
-        trace::escalate(ctx.trace_, ExecPath::kRh1Slow);
-        run_slow(ctx, body, false);
-        return;
-      }
-      ctx.cm_.backoff_hardware();
+    if (ctx.run_hardware(u_.htm(), injector_, ExecPath::kRh1Fast,
+                         FastHooks{{}, *this, ctx, u_.durable()}, body)) {
+      return;
     }
+    ctx.record_escalate(ExecPath::kRh1Slow);
+    run_slow(ctx, body, false);
   }
 
   /// Commit-point publication for the fast path: fresh clock, one stamp
@@ -187,16 +174,13 @@ class HybridTm {
   /// post-_xend unlock releases to.
   void fast_commit_stamp(typename H::Tx& t, const StripeSet& written, TmWord* wv_out) {
     if (written.empty()) return;
-    if (t.load(rh2_active_) != 0) {
+    if (t.load(u_.rh2_word()) != 0) {
       for (const std::uint32_t s : written.items()) {
         if (t.load(u_.stripes().read_mask(s)) != 0) t.abort_explicit();
       }
     }
-    const TmWord wv = t.load(u_.clock().cell()) + 1;
-    if (u_.clock().hw_writes_clock()) t.store(u_.clock().cell(), wv);
-    const TmWord stamp = u_.durable()
-                             ? (StripeTable::make_word(wv) | StripeTable::kLockBit)
-                             : StripeTable::make_word(wv);
+    const TmWord wv = u_.clock().hw_next(t);
+    const TmWord stamp = StripeTable::commit_stamp(wv, u_.durable());
     for (const std::uint32_t s : written.items()) {
       t.store(u_.stripes().word(s), stamp);
     }
@@ -211,66 +195,52 @@ class HybridTm {
     TmWord rv;
 
     TmWord load(const TmCell& c) {
-      if (const WriteEntry* e = ctx.ws_.find(c)) return e->value;
+      if (const WriteEntry* e = ctx.sw_.ws.find(c)) return e->value;
       const std::size_t s = tm.u_.stripes().index_of(&c);
       tm.publish_once(ctx, static_cast<std::uint32_t>(s));
-      return detail::stripe_validated_read(tm.u_, c, s, rv, ctx.rs_);
+      return detail::stripe_validated_read(tm.u_, c, s, rv, ctx.sw_.rs);
     }
 
     void store(TmCell& c, TmWord v) {
-      ctx.ws_.put(c, v, static_cast<std::uint32_t>(tm.u_.stripes().index_of(&c)));
+      ctx.sw_.ws.put(c, v, static_cast<std::uint32_t>(tm.u_.stripes().index_of(&c)));
     }
   };
 
+  /// The software body: RH1-slow (TL2 barriers + reduced hardware commit)
+  /// until the reduced commit overflows the hardware, then RH2 (visible
+  /// reads + write-set-only hardware commit, falling back to slow-slow).
   template <class Body>
   void run_slow(ThreadCtx& ctx, Body& body, bool rh2) {
-    ctx.cm_.begin_software();
-    for (;;) {
-      const ExecPath path = rh2 ? ExecPath::kRh2Slow : ExecPath::kRh1Slow;
-      ctx.stats.count_attempt(path);
-      trace::attempt(ctx.trace_, path);
-      ctx.rs_.clear();
-      ctx.ws_.clear();
+    detail::Tl2Sets& sw = ctx.sw_;
+    const ExecPath first = rh2 ? ExecPath::kRh2Slow : ExecPath::kRh1Slow;
+    ctx.run_software(first, &u_.clock(), [&](ExecPath& path) -> std::optional<ExecPath> {
+      sw.rs.clear();
+      sw.ws.clear();
       const TmWord rv = u_.clock().read();
-      try {
-        if (!rh2) {
-          detail::Tl2Handle<H> h{u_, ctx.rs_, ctx.ws_, rv};
-          body(h);
-          if (!rh1_reduced_commit(ctx, rv)) {
-            rh2 = true;  // commit exceeds the hardware budget: go visible
-            trace::escalate(ctx.trace_, ExecPath::kRh2Slow);
-            continue;
-          }
-          ctx.stats.count_commit(ExecPath::kRh1Slow);
-          trace::commit(ctx.trace_, ExecPath::kRh1Slow);
-        } else {
-          rh2_active_.word.fetch_add(1, std::memory_order_acq_rel);
-          ctx.masks_.clear();
-          try {
-            Rh2Handle h{*this, ctx, rv};
-            body(h);
-            const ExecPath commit_path = rh2_commit(ctx, rv);
-            unpublish_all(ctx);
-            rh2_active_.word.fetch_sub(1, std::memory_order_acq_rel);
-            ctx.stats.count_commit(commit_path);
-            trace::commit(ctx.trace_, commit_path);
-          } catch (...) {
-            unpublish_all(ctx);
-            rh2_active_.word.fetch_sub(1, std::memory_order_acq_rel);
-            throw;
-          }
-        }
-      } catch (const detail::StmAbort& a) {
-        ctx.stats.count_abort(a.cause);
-        trace::abort(ctx.trace_, a.cause);
-        u_.clock().on_abort();
-        if (u_.clock().cached()) trace::clock_publish(ctx.trace_);
-        ctx.cm_.backoff_software();
-        continue;
+      if (path == ExecPath::kRh1Slow) {
+        detail::Tl2Handle<H> h{u_, sw.rs, sw.ws, rv};
+        body(h);
+        if (rh1_reduced_commit(ctx, rv)) return ExecPath::kRh1Slow;
+        path = ExecPath::kRh2Slow;  // commit exceeds the hardware budget: go visible
+        ctx.record_escalate(ExecPath::kRh2Slow);
+        return std::nullopt;
       }
-      ctx.cm_.on_software_commit();
-      return;
-    }
+      TmCell& active = u_.rh2_word();
+      u_.htm().nontx_fetch_add(active, 1);
+      ctx.masks_.clear();
+      try {
+        Rh2Handle h{*this, ctx, rv};
+        body(h);
+        const ExecPath tier = rh2_commit(ctx, rv);
+        unpublish_all(ctx);
+        u_.htm().nontx_fetch_add(active, ~TmWord{0});  // -1
+        return tier;
+      } catch (...) {
+        unpublish_all(ctx);
+        u_.htm().nontx_fetch_add(active, ~TmWord{0});
+        throw;
+      }
+    });
   }
 
   /// The reduced hardware commit (§2.1): metadata-only read validation +
@@ -284,14 +254,15 @@ class HybridTm {
   /// stripe count of the transaction — re-reading a hot stripe a hundred
   /// times costs one commit-time load, not a hundred.
   bool rh1_reduced_commit(ThreadCtx& ctx, TmWord rv) {
-    if (ctx.ws_.empty()) return true;  // read-only: access-time validation suffices
+    detail::Tl2Sets& sw = ctx.sw_;
+    if (sw.ws.empty()) return true;  // read-only: access-time validation suffices
     StripeTable& st = u_.stripes();
     const bool durable = u_.durable();
     unsigned tries = 0;
     for (;;) {
       TmWord wv_out = 0;
       const HtmOutcome out = u_.htm().execute(ctx.tx_, [&](typename H::Tx& t) {
-        const auto& read_stripes = ctx.rs_.stripes();  // distinct by construction
+        const auto& read_stripes = sw.rs.stripes();  // distinct by construction
         for (std::size_t i = 0; i < read_stripes.size(); ++i) {
           // Hide the next validation load's miss behind this one's check:
           // the stripe list is exact-deduped insertion order, so the walk
@@ -302,17 +273,14 @@ class HybridTm {
             t.abort_explicit();
           }
         }
-        const bool check_masks = t.load(rh2_active_) != 0;
-        const TmWord wv = t.load(u_.clock().cell()) + 1;
-        if (u_.clock().hw_writes_clock()) t.store(u_.clock().cell(), wv);
+        const bool check_masks = t.load(u_.rh2_word()) != 0;
+        const TmWord wv = u_.clock().hw_next(t);
         // Durable: stamp LOCKED inside the hardware transaction, so the
         // values published at _xend stay unreadable until durable_publish()
         // has persisted them and unlocked to wv (fine-grained fast-path
         // locking — the reduced commit stays lock-free in non-durable mode).
-        const TmWord stamped = durable
-                                   ? (StripeTable::make_word(wv) | StripeTable::kLockBit)
-                                   : StripeTable::make_word(wv);
-        const auto& write_stripes = ctx.ws_.write_stripes();  // one stamp per stripe
+        const TmWord stamped = StripeTable::commit_stamp(wv, durable);
+        const auto& write_stripes = sw.ws.write_stripes();  // one stamp per stripe
         for (std::size_t i = 0; i < write_stripes.size(); ++i) {
           if (i + 1 < write_stripes.size()) {
             st.prefetch_word(write_stripes[i + 1], /*for_write=*/true);
@@ -322,7 +290,7 @@ class HybridTm {
           if (check_masks && t.load(st.read_mask(s)) != 0) t.abort_explicit();
           t.store(st.word(s), stamped);
         }
-        for (const WriteEntry& e : ctx.ws_.entries()) {
+        for (const WriteEntry& e : sw.ws.entries()) {
           t.store(*e.cell, e.value);
         }
         wv_out = wv;
@@ -330,8 +298,7 @@ class HybridTm {
       if (out.ok()) {
         u_.clock().note_hw_commit();
         if (durable) {
-          durable_publish(ctx.ws_.entries(), ctx.ws_.write_stripes(), wv_out,
-                          pmem::kPathRh1, ctx.trace_);
+          durable_publish(ctx, sw.ws.entries(), sw.ws.write_stripes(), wv_out, pmem::kPathRh1);
         }
         return true;
       }
@@ -339,14 +306,13 @@ class HybridTm {
         // The reduced commit itself overflowed hardware; the transaction
         // re-executes with visible reads (RH2), so this is a real abort —
         // count it, or capacity escalation is invisible in every report.
-        ctx.stats.count_abort(AbortCause::kHtmCapacity);
-        trace::abort(ctx.trace_, AbortCause::kHtmCapacity);
+        ctx.record_abort(AbortCause::kHtmCapacity);
         return false;
       }
       if (out.status == HtmStatus::kExplicit || ++tries >= cfg_.commit_retries) {
         throw detail::StmAbort{AbortCause::kStmValidation};
       }
-      ctx.cm_.backoff_commit(tries);
+      ctx.cm().backoff_commit(tries);
     }
   }
 
@@ -355,21 +321,19 @@ class HybridTm {
   /// it only refuses to overwrite stripes carrying *foreign* readers.
   /// Escalates to the all-software slow-slow commit when hardware fails.
   ExecPath rh2_commit(ThreadCtx& ctx, TmWord rv) {
-    if (ctx.ws_.empty()) return ExecPath::kRh2Slow;  // visible reads validated at access
+    detail::Tl2Sets& sw = ctx.sw_;
+    if (sw.ws.empty()) return ExecPath::kRh2Slow;  // visible reads validated at access
     StripeTable& st = u_.stripes();
     const bool durable = u_.durable();
     unsigned tries = 0;
     for (;;) {
       TmWord wv_out = 0;
       const HtmOutcome out = u_.htm().execute(ctx.tx_, [&](typename H::Tx& t) {
-        const TmWord wv = t.load(u_.clock().cell()) + 1;
-        if (u_.clock().hw_writes_clock()) t.store(u_.clock().cell(), wv);
+        const TmWord wv = u_.clock().hw_next(t);
         // Same durable discipline as the reduced commit: locked stamps in
         // hardware, persist + unlock after _xend.
-        const TmWord stamped = durable
-                                   ? (StripeTable::make_word(wv) | StripeTable::kLockBit)
-                                   : StripeTable::make_word(wv);
-        for (const std::uint32_t s : ctx.ws_.write_stripes()) {  // one check+stamp each
+        const TmWord stamped = StripeTable::commit_stamp(wv, durable);
+        for (const std::uint32_t s : sw.ws.write_stripes()) {  // one check+stamp each
           const TmWord w = t.load(st.word(s));
           if (StripeTable::is_locked(w) || StripeTable::version_of(w) > rv) {
             t.abort_explicit();
@@ -379,7 +343,7 @@ class HybridTm {
           }
           t.store(st.word(s), stamped);
         }
-        for (const WriteEntry& e : ctx.ws_.entries()) {
+        for (const WriteEntry& e : sw.ws.entries()) {
           t.store(*e.cell, e.value);
         }
         wv_out = wv;
@@ -387,8 +351,7 @@ class HybridTm {
       if (out.ok()) {
         u_.clock().note_hw_commit();
         if (durable) {
-          durable_publish(ctx.ws_.entries(), ctx.ws_.write_stripes(), wv_out,
-                          pmem::kPathRh2, ctx.trace_);
+          durable_publish(ctx, sw.ws.entries(), sw.ws.write_stripes(), wv_out, pmem::kPathRh2);
         }
         return ExecPath::kRh2Slow;
       }
@@ -398,40 +361,29 @@ class HybridTm {
           // Same observability rule as the reduced commit: the hardware
           // commit overflowed, and escalation must be visible in reports
           // even though the slow-slow commit completes this same attempt.
-          ctx.stats.count_abort(AbortCause::kHtmCapacity);
-          trace::abort(ctx.trace_, AbortCause::kHtmCapacity);
+          ctx.record_abort(AbortCause::kHtmCapacity);
         }
-        trace::escalate(ctx.trace_, ExecPath::kRh2SlowSlow);
-        detail::tl2_software_commit(u_, ctx.rs_, ctx.ws_, rv, ctx.lock_scratch_, &ctx.masks_,
-                                    ctx.trace_);
+        ctx.record_escalate(ExecPath::kRh2SlowSlow);
+        detail::tl2_software_commit(u_, ctx, sw.rs, sw.ws, rv, sw.lock_scratch, &ctx.masks_);
         return ExecPath::kRh2SlowSlow;
       }
-      ctx.cm_.backoff_commit(tries);
+      ctx.cm().backoff_commit(tries);
     }
   }
 
-  /// Post-_xend persist sequence shared by the durable hardware commits
-  /// (fast, reduced, RH2). The transaction already published its values and
+  /// Post-_xend persist step of the durable hardware commits (fast,
+  /// reduced, RH2). The transaction already published its values and
   /// LOCKED stripe stamps atomically at _xend; while the locks are held, no
   /// reader — the durable fast path checks the lock bit, software reads
-  /// validate it — can consume the new state. Log, mark (the durability
-  /// point), apply to the image, then release the locks to the commit
-  /// version. Marker order therefore respects stripe-conflict serialization.
-  /// A crash anywhere in this sequence abandons only in-memory locks (they
-  /// die with the process); recovery replays or discards from the log.
+  /// validate it — can consume the new state. Persist (log, mark, apply),
+  /// then release the locks to the commit version, so marker order
+  /// respects stripe-conflict serialization. A crash anywhere in this
+  /// sequence abandons only in-memory locks (they die with the process);
+  /// recovery replays or discards from the log.
   template <class Entries, class Stripes>
-  void durable_publish(const Entries& entries, const Stripes& stripes, TmWord wv,
-                       const char* path, trace::TraceRing* ring) {
-    PersistentDomain& pd = u_.pmem();
-    const std::uint64_t t0 = rdtsc();
-    const std::uint64_t txid = pd.durable_log(entries, path);
-    const std::uint64_t t1 = rdtsc();
-    trace::durable_phase(ring, trace::EventKind::kDurLog, t1 - t0);
-    pd.durable_mark(txid, path);
-    const std::uint64_t t2 = rdtsc();
-    trace::durable_phase(ring, trace::EventKind::kDurMark, t2 - t1);
-    pd.durable_apply(entries, path);
-    trace::durable_phase(ring, trace::EventKind::kDurApply, rdtsc() - t2);
+  void durable_publish(ThreadCtx& ctx, const Entries& entries, const Stripes& stripes, TmWord wv,
+                       const char* path) {
+    detail::durable_persist(u_, ctx, entries, path, /*publish=*/false);
     for (const std::uint32_t s : stripes) u_.stripes().unlock_to(s, wv);
   }
 
@@ -453,11 +405,6 @@ class HybridTm {
   TmUniverse<H>& u_;
   Config cfg_;
   AbortInjector injector_;
-  TmCell rh2_active_;  ///< live RH2 transactions; committers subscribe
-
- public:
-  /// Exposed for tests: number of in-flight RH2 transactions.
-  [[nodiscard]] TmWord rh2_active() const { return rh2_active_.unsafe_load(); }
 };
 
 }  // namespace rhtm

@@ -26,12 +26,12 @@
 #include "core/standard_hytm.h"
 #include "core/stats.h"
 #include "core/stripe.h"
-#include "core/tatas.h"
 #include "core/timeseries.h"
 #include "core/tl2.h"
 #include "core/topology.h"
 #include "core/trace.h"
 #include "core/trace_export.h"
+#include "core/tx_skeleton.h"
 #include "core/universe.h"
 
 namespace rhtm {

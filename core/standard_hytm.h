@@ -12,9 +12,7 @@
 // non-speculative lock fallback for liveness).
 
 #include <cstdint>
-#include <vector>
 
-#include "core/htm_only.h"
 #include "core/tl2.h"
 #include "stm/stripe_set.h"
 
@@ -30,29 +28,16 @@ class StandardHytm {
     unsigned capacity_retries = 2;  ///< capacity aborts before giving up on HW
   };
 
-  class ThreadCtx {
+  class ThreadCtx : public ThreadCtxBase<H> {
    public:
     explicit ThreadCtx(StandardHytm& tm)
-        : tx_(tm.u_.htm()),
-          rng_(detail::next_ctx_seed()),
-          cm_(tm.u_.config().cm,
-              ContentionManager::Limits{
-                  0, tm.cfg_.hardware_only ? 0 : tm.cfg_.max_hw_attempts,
-                  tm.cfg_.capacity_retries}),
-          trace_(tm.u_.acquire_trace_ring()) {
-      cm_.set_trace(trace_);
-    }
-    TxStats stats;
+        : ThreadCtxBase<H>(tm.u_, ContentionManager::Limits{
+                                      0, tm.cfg_.hardware_only ? 0 : tm.cfg_.max_hw_attempts,
+                                      tm.cfg_.capacity_retries}) {}
 
    private:
     friend class StandardHytm;
-    typename H::Tx tx_;
-    Xoshiro256 rng_;
-    ContentionManager cm_;
-    trace::TraceRing* trace_;
-    ReadSet rs_;
-    WriteSet ws_;
-    std::vector<std::uint32_t> lock_scratch_;
+    detail::Tl2Sets sw_;
     StripeSet hw_written_;  ///< distinct stripes the hardware path stamps
   };
 
@@ -61,7 +46,7 @@ class StandardHytm {
 
   template <class Body>
   void atomically(ThreadCtx& ctx, Body&& body) {
-    detail::timed_section(ctx.stats, [&] { run(ctx, body); });
+    ctx.transaction([&] { run(ctx, body); });
   }
 
  private:
@@ -86,50 +71,47 @@ class StandardHytm {
     }
   };
 
+  /// Instrumented accesses after subscribing to the fallback lock; the
+  /// commit point stamps every written stripe.
+  struct Hooks {
+    StandardHytm& tm;
+    StripeSet& written;
+
+    bool ready() {
+      written.clear();
+      return true;
+    }
+    void subscribe(typename H::Tx& t) {
+      detail::subscribe_lock_word(t, tm.u_.fallback_lock_word());
+    }
+    HwHandle handle(typename H::Tx& t) { return HwHandle{t, tm.u_.stripes(), written}; }
+    void stamp(typename H::Tx& t) { tm.publish_stamps(t, written); }
+    void committed() {
+      if (!written.empty()) tm.u_.clock().note_hw_commit();
+    }
+  };
+
   template <class Body>
   void run(ThreadCtx& ctx, Body& body) {
     // Durable universes go straight to the TL2 fallback (which redo-logs
     // its write-back); the instrumented hardware handle has no redo capture
     // and the baseline's contract is not worth complicating — the durable
     // hardware commit story is HybridTm's (core/rh1.h).
-    trace::tx_begin(ctx.trace_);
     if (!u_.durable() && (cfg_.hardware_only || cfg_.max_hw_attempts > 0) &&
-        !ctx.cm_.start_in_software()) {
-      for (;;) {
-        ctx.stats.count_attempt(ExecPath::kHtm);
-        trace::attempt(ctx.trace_, ExecPath::kHtm);
-        const bool poison = injector_.fire(ctx.rng_);
-        ctx.hw_written_.clear();
-        const HtmOutcome out = u_.htm().execute(ctx.tx_, [&](typename H::Tx& t) {
-          fallback_.subscribe(t);
-          if (poison) t.poison();
-          HwHandle h{t, u_.stripes(), ctx.hw_written_};
-          body(h);
-          publish_stamps(t, ctx.hw_written_);
-        });
-        if (out.ok()) {
-          if (!ctx.hw_written_.empty()) u_.clock().note_hw_commit();
-          ctx.stats.count_commit(ExecPath::kHtm);
-          trace::commit(ctx.trace_, ExecPath::kHtm);
-          ctx.cm_.on_hardware_commit();
-          return;
-        }
-        ctx.stats.count_abort(to_abort_cause(out.status));
-        trace::abort(ctx.trace_, to_abort_cause(out.status));
-        if (ctx.cm_.give_up_hardware(to_abort_cause(out.status), ctx.rng_)) break;
-        ctx.cm_.backoff_hardware();
-      }
+        !ctx.cm().start_in_software() &&
+        ctx.run_hardware(u_.htm(), injector_, ExecPath::kHtm, Hooks{*this, ctx.hw_written_},
+                         body)) {
+      return;
     }
     if (!u_.durable() && cfg_.hardware_only) {
       // No STM fallback in hardware-only mode: capacity overflow (and, under
       // the adaptive policy, a hopeless conflict streak) takes the
       // non-speculative lock for liveness.
-      run_under_lock(ctx, body);
+      ctx.run_under_lock(u_, body);
       return;
     }
-    trace::escalate(ctx.trace_, ExecPath::kStm);
-    detail::tl2_run(u_, ctx.rs_, ctx.ws_, ctx.lock_scratch_, ctx.stats, ExecPath::kStm,
-                    ctx.cm_, ctx.trace_, body);
+    ctx.record_escalate(ExecPath::kStm);
+    detail::tl2_run(u_, ctx, ctx.sw_, body);
   }
 
   /// Commit-point stamping: re-read the clock inside the transaction so the
@@ -137,29 +119,15 @@ class StandardHytm {
   /// reader's read-version, then publish every written stripe exactly once.
   void publish_stamps(typename H::Tx& t, const StripeSet& written) {
     if (written.empty()) return;
-    const TmWord wv = t.load(u_.clock().cell()) + 1;
-    if (u_.clock().hw_writes_clock()) t.store(u_.clock().cell(), wv);
+    const TmWord wv = u_.clock().hw_next(t);
     for (const std::uint32_t s : written.items()) {
       t.store(u_.stripes().word(s), StripeTable::make_word(wv));
     }
   }
 
-  template <class Body>
-  void run_under_lock(ThreadCtx& ctx, Body& body) {
-    trace::fallback_lock(ctx.trace_);
-    fallback_.acquire();
-    detail::NonSpecHandle<H> h{u_.htm()};
-    body(h);
-    fallback_.release();
-    ctx.stats.count_commit(ExecPath::kHtm);
-    trace::commit(ctx.trace_, ExecPath::kHtm);
-    ctx.cm_.on_software_commit();
-  }
-
   TmUniverse<H>& u_;
   Config cfg_;
   AbortInjector injector_;
-  detail::FallbackLock fallback_;
 };
 
 }  // namespace rhtm

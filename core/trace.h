@@ -55,7 +55,7 @@ enum class EventKind : std::uint8_t {
   kHwAttempt,     ///< one hardware attempt starts (a = ExecPath, arg = attempt #)
   kAbort,         ///< an attempt died (a = AbortCause, arg = cycles since begin)
   kEscalate,      ///< the transaction moved down a tier (a = ExecPath entered)
-  kFallbackLock,  ///< non-speculative lock fallback taken (HtmOnly / TATAS / StdHyTM)
+  kFallbackLock,  ///< non-speculative lock fallback taken (HtmOnly / StandardHytm)
   kCommit,        ///< the transaction committed (a = ExecPath tier, arg = cycles since begin)
   kSwModeEnter,   ///< adaptive CM: failure streak crossed sw_streak, hardware off
   kSwModeExit,    ///< adaptive CM: a hardware probe committed, hardware back on
@@ -337,3 +337,54 @@ inline void anomaly(const char* reason) {
 }
 
 }  // namespace rhtm::trace
+
+namespace rhtm {
+
+// ------------------------------------------------------------- recorder --
+/// The per-thread recorder: owns the transaction counters and the trace
+/// ring, and records each lifecycle step into both at once, so the counts
+/// and the events agree by construction. Every protocol ThreadCtx is one
+/// (through ThreadCtxBase, core/tx_skeleton.h); `stats` stays public for
+/// the drivers that merge and sample it.
+class Recorder {
+ public:
+  explicit Recorder(trace::TraceRing* ring) : ring_(ring) {}
+
+  TxStats stats;
+
+  [[nodiscard]] trace::TraceRing* trace_ring() const { return ring_; }
+
+  /// Runs one atomically() call: the begin event, then `f`, timed into
+  /// stats.tx_cycles when breakdown timing is on.
+  template <class F>
+  void transaction(F&& f) {
+    detail::timed_section(stats, [&] {
+      trace::tx_begin(ring_);
+      f();
+    });
+  }
+
+  void record_attempt(ExecPath p) {
+    stats.count_attempt(p);
+    trace::attempt(ring_, p);
+  }
+  void record_abort(AbortCause c) {
+    stats.count_abort(c);
+    trace::abort(ring_, c);
+  }
+  void record_commit(ExecPath p) {
+    stats.count_commit(p);
+    trace::commit(ring_, p);
+  }
+  void record_escalate(ExecPath to) { trace::escalate(ring_, to); }
+  void record_fallback_lock() { trace::fallback_lock(ring_); }
+  void record_clock_publish() { trace::clock_publish(ring_); }
+  void record_durable_phase(trace::EventKind k, std::uint64_t cycles) {
+    trace::durable_phase(ring_, k, cycles);
+  }
+
+ private:
+  trace::TraceRing* ring_;
+};
+
+}  // namespace rhtm

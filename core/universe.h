@@ -2,9 +2,10 @@
 
 // TmUniverse<H> — the shared world every protocol instance runs against:
 // the HTM substrate instance, the striped version-word store, the global
-// version clock, and (when configured durable) the simulated persistent
-// domain every software write-back funnels through. Benches construct one
-// universe per figure (or per protocol) and instantiate protocols over it.
+// version clock, the protocols' cross-thread words, and (when configured
+// durable) the simulated persistent domain every software write-back
+// funnels through. Benches construct one universe per figure (or per
+// protocol) and instantiate protocols over it.
 
 #include <memory>
 
@@ -94,6 +95,20 @@ class TmUniverse {
   [[nodiscard]] StripeTable& stripes() { return stripes_; }
   [[nodiscard]] GlobalVersionClock& clock() { return clock_; }
 
+  // Cross-thread protocol words. They live here rather than in protocol
+  // instances, so any number of instances over one universe synchronize
+  // through the same word, as they do through the stripes and the clock.
+  // Read-modify-writes on them go through the substrate (nontx_cas /
+  // nontx_fetch_add) so they serialize against simulated commits.
+  /// Lock-fallback seqlock (HtmOnly, StandardHytm): odd = held.
+  [[nodiscard]] TmCell& fallback_lock_word() { return fallback_lock_; }
+  /// HybridNorec sequence lock: even = quiet, odd = a writer is committing.
+  [[nodiscard]] TmCell& norec_seq_word() { return norec_seq_; }
+  /// PhasedTm: transactions currently running in the software phase.
+  [[nodiscard]] TmCell& phase_word() { return phase_; }
+  /// HybridTm: live RH2 transactions; fast and reduced commits subscribe.
+  [[nodiscard]] TmCell& rh2_word() { return rh2_active_; }
+
   /// True when this universe persists commits (cfg.durable). Non-durable
   /// universes never construct a PersistentDomain and emit zero fences.
   [[nodiscard]] bool durable() const { return pmem_ != nullptr; }
@@ -120,6 +135,12 @@ class TmUniverse {
   StripeTable stripes_;
   GlobalVersionClock clock_;
   std::unique_ptr<PersistentDomain> pmem_;
+  // One cache line each: on real HTM a write to one word must not conflict
+  // out the hardware transactions subscribed to another.
+  alignas(64) TmCell fallback_lock_;
+  alignas(64) TmCell norec_seq_;
+  alignas(64) TmCell phase_;
+  alignas(64) TmCell rh2_active_;
 };
 
 }  // namespace rhtm

@@ -3,7 +3,7 @@
 // observable single-threaded semantics — committed stores become visible,
 // the configured capacity budgets abort deterministically, explicit aborts
 // and injection poisoning report their statuses, the non-transactional
-// accessors round-trip, and the publication epoch is even whenever no
+// accessors and read-modify-writes round-trip, and the publication epoch is even whenever no
 // publication is in flight. (Multi-threaded serializability is covered per
 // substrate in protocol_invariants_test; HtmEmul is excluded there by
 // design — it has no conflict detection — so its whole-stack coverage is
@@ -153,6 +153,15 @@ void nontx_and_publication_epoch() {
   CHECK_EQ(htm.nontx_load(b), 6u);
   CHECK_EQ(htm.publication_epoch() % 2, 0u);
   CHECK(htm.publication_epoch() >= before);
+
+  // The read-modify-writes protocols use on their cross-thread words.
+  CHECK(!htm.nontx_cas(a, 4, 9));  // expected value wrong: no change
+  CHECK_EQ(htm.nontx_load(a), 5u);
+  CHECK(htm.nontx_cas(a, 5, 9));
+  CHECK_EQ(htm.nontx_load(a), 9u);
+  CHECK_EQ(htm.nontx_fetch_add(a, 3), 9u);  // returns the previous value
+  CHECK_EQ(htm.nontx_fetch_add(a, ~TmWord{0}), 12u);  // adding all-ones subtracts one
+  CHECK_EQ(htm.nontx_load(a), 11u);
 }
 
 /// Whole-stack single-threaded conservation: the protocol layer over this

@@ -6,9 +6,9 @@
 //    with every ring's own order preserved;
 //  * Chrome JSON round-trip — the exporter's output re-parsed by a minimal
 //    JSON parser (the report_test pattern) and checked event by event;
-//  * protocol invariants under a real protocol — every abort event carries
-//    a valid AbortCause, every commit a valid ExecPath tier, and the event
-//    counts agree exactly with TxStats;
+//  * protocol invariants under every protocol — every abort event carries
+//    a valid AbortCause, every commit a valid ExecPath tier, and the begin,
+//    attempt, abort and commit event counts agree exactly with TxStats;
 //  * durable phase ordering — log -> mark -> apply -> commit, per
 //    transaction, on the durable TL2 commit path.
 
@@ -358,28 +358,32 @@ void test_chrome_json_roundtrip() {
 
 // ---------------------------------------------- protocol-level invariants --
 
-void test_protocol_invariants_traced() {
+/// Runs 2 threads x 1500 increments through protocol `Tm` (configured by
+/// `cfg`) on a traced sim universe, and checks that the trace and the
+/// counters describe the same history: every abort names a valid cause,
+/// every commit a valid tier, and the begin / attempt / abort / commit
+/// event counts equal the TxStats counts, per tier.
+template <class Tm>
+void protocol_invariants_traced(typename Tm::Config cfg, bool expect_aborts) {
   trace::TracerConfig tcfg;
   tcfg.ring_capacity = std::size_t{1} << 15;  // ample: a drop would break pairing
   trace::Tracer tracer(tcfg);
   UniverseConfig ucfg;
   ucfg.tracer = &tracer;
   TmUniverse<HtmSim> u(ucfg);
-  HybridTm<HtmSim>::Config cfg;
-  cfg.slow_retry_percent = 100;
-  cfg.inject_abort_bp = 2000;  // plenty of aborts and slow-path traffic
-  HybridTm<HtmSim> tm(u, cfg);
+  Tm tm(u, cfg);
 
   constexpr std::size_t kVars = 32;
+  constexpr int kOps = 1500;
   std::vector<TVar<TmWord>> vars(kVars);
   TxStats total;
   std::vector<std::thread> threads;
   std::mutex merge_mu;
   for (unsigned t = 0; t < 2; ++t) {
     threads.emplace_back([&, t] {
-      HybridTm<HtmSim>::ThreadCtx ctx(tm);
+      typename Tm::ThreadCtx ctx(tm);
       Xoshiro256 rng(42 + t);
-      for (int i = 0; i < 1500; ++i) {
+      for (int i = 0; i < kOps; ++i) {
         const std::size_t j = rng.below(kVars);
         tm.atomically(ctx, [&](auto& tx) {
           vars[j].write(tx, vars[j].read(tx) + 1);
@@ -394,10 +398,16 @@ void test_protocol_invariants_traced() {
   CHECK_EQ(tracer.total_dropped(), 0u);
   std::uint64_t begins = 0, commits = 0, aborts = 0;
   std::uint64_t commits_by_tier[static_cast<std::size_t>(ExecPath::kCount)] = {};
+  std::uint64_t attempts_by_tier[static_cast<std::size_t>(ExecPath::kCount)] = {};
+  std::uint64_t aborts_by_cause[static_cast<std::size_t>(AbortCause::kCount)] = {};
   for (const trace::Event& e : tracer.merged_events()) {
     switch (e.event_kind()) {
       case trace::EventKind::kTxBegin:
         ++begins;
+        break;
+      case trace::EventKind::kHwAttempt:
+        CHECK(e.a < static_cast<std::uint8_t>(ExecPath::kCount));
+        ++attempts_by_tier[e.a];
         break;
       case trace::EventKind::kCommit:
         // Every commit names a valid tier.
@@ -408,6 +418,7 @@ void test_protocol_invariants_traced() {
       case trace::EventKind::kAbort:
         // Every abort names a valid cause.
         CHECK(e.a < static_cast<std::uint8_t>(AbortCause::kCount));
+        ++aborts_by_cause[e.a];
         ++aborts;
         break;
       default:
@@ -415,13 +426,64 @@ void test_protocol_invariants_traced() {
     }
   }
   // The trace and the stats counters describe the SAME history.
+  CHECK_EQ(begins, 2u * kOps);  // one begin per atomically() call
+  CHECK_EQ(total.commits, 2u * kOps);
   CHECK_EQ(commits, total.commits);
   CHECK_EQ(aborts, total.aborts);
-  CHECK_EQ(begins, 2u * 1500u);  // one begin per atomically() call
   for (std::size_t p = 0; p < static_cast<std::size_t>(ExecPath::kCount); ++p) {
     CHECK_EQ(commits_by_tier[p], total.commits_by_path[p]);
+    CHECK_EQ(attempts_by_tier[p], total.attempts_by_path[p]);
   }
-  CHECK(aborts > 0);  // the injector must actually have fired
+  for (std::size_t c = 0; c < static_cast<std::size_t>(AbortCause::kCount); ++c) {
+    CHECK_EQ(aborts_by_cause[c], total.aborts_by_cause[c]);
+  }
+  TmWord sum = 0;
+  for (const auto& v : vars) sum += v.unsafe_read();
+  CHECK_EQ(sum, 2u * kOps);  // every increment landed exactly once
+  if (expect_aborts) CHECK(aborts > 0);  // the injector must actually have fired
+}
+
+constexpr std::uint32_t kInjectBp = 2000;  // plenty of aborts and fallback traffic
+
+void test_invariants_hybrid_tm() {
+  HybridTm<HtmSim>::Config cfg;
+  cfg.slow_retry_percent = 100;
+  cfg.inject_abort_bp = kInjectBp;
+  protocol_invariants_traced<HybridTm<HtmSim>>(cfg, true);
+}
+
+void test_invariants_tl2() { protocol_invariants_traced<Tl2<HtmSim>>({}, false); }
+
+void test_invariants_htm_only() {
+  HtmOnly<HtmSim>::Config cfg;
+  cfg.inject_abort_bp = kInjectBp;
+  protocol_invariants_traced<HtmOnly<HtmSim>>(cfg, true);
+}
+
+void test_invariants_htm_only_elision_budget() {
+  HtmOnly<HtmSim>::Config cfg;  // the TATAS-Elide configuration
+  cfg.inject_abort_bp = kInjectBp;
+  cfg.max_hw_attempts = 8;
+  cfg.capacity_retries = 2;
+  protocol_invariants_traced<HtmOnly<HtmSim>>(cfg, true);
+}
+
+void test_invariants_standard_hytm() {
+  StandardHytm<HtmSim>::Config cfg;
+  cfg.inject_abort_bp = kInjectBp;
+  protocol_invariants_traced<StandardHytm<HtmSim>>(cfg, true);
+}
+
+void test_invariants_hybrid_norec() {
+  HybridNorec<HtmSim>::Config cfg;
+  cfg.inject_abort_bp = kInjectBp;
+  protocol_invariants_traced<HybridNorec<HtmSim>>(cfg, true);
+}
+
+void test_invariants_phased_tm() {
+  PhasedTm<HtmSim>::Config cfg;
+  cfg.inject_abort_bp = kInjectBp;
+  protocol_invariants_traced<PhasedTm<HtmSim>>(cfg, true);
 }
 
 void test_durable_phase_ordering() {
@@ -495,7 +557,14 @@ int main() {
       {"cross_thread_merge", rhtm::test::test_cross_thread_merge},
       {"anomaly_hook", rhtm::test::test_anomaly_hook},
       {"chrome_json_roundtrip", rhtm::test::test_chrome_json_roundtrip},
-      {"protocol_invariants_traced", rhtm::test::test_protocol_invariants_traced},
+      {"protocol_invariants_traced", rhtm::test::test_invariants_hybrid_tm},
+      {"protocol_invariants_traced_tl2", rhtm::test::test_invariants_tl2},
+      {"protocol_invariants_traced_htm_only", rhtm::test::test_invariants_htm_only},
+      {"protocol_invariants_traced_htm_only_elision",
+       rhtm::test::test_invariants_htm_only_elision_budget},
+      {"protocol_invariants_traced_standard_hytm", rhtm::test::test_invariants_standard_hytm},
+      {"protocol_invariants_traced_hybrid_norec", rhtm::test::test_invariants_hybrid_norec},
+      {"protocol_invariants_traced_phased_tm", rhtm::test::test_invariants_phased_tm},
       {"durable_phase_ordering", rhtm::test::test_durable_phase_ordering},
       {"disabled_helpers_are_noops", rhtm::test::test_disabled_helpers_are_noops},
   });
