@@ -4,9 +4,16 @@
 // through the protocol's handle, so ns_per_access ≈ the barrier cost.
 //
 //   HTM           read = 1 load                       write = 1 store
-//   RH1 fast      read = 1 load                       write = stripe store + store
+//   RH1 fast      read = 1 load                       write = store + stripe note
+//                 (+ one stamp per distinct stripe at the commit point)
 //   StandardHyTM  read = metadata load + branch + load; write adds the store
 //   TL2           read = full STM read barrier         write = write-set insert
+//
+// Reads and writes are separate tables, each with its own primary metric.
+// Neither metric is in the CI regression gate's sets, so both tables stay
+// out of the gate, visibly: on a shared 4-core host the RH1-Fast/TL2 ratio
+// of either table moved about 2x between runs at --seconds=0.01 and 0.1,
+// and the fastest of five slices per run did not narrow it.
 
 #include "registry.h"
 
@@ -53,17 +60,21 @@ double writes_ns_per_access(const Options& opt, TmUniverse<HtmEmul>& universe) {
   return ns / static_cast<double>(kAccesses);
 }
 
+/// One series per protocol in each of the read and write tables. Each
+/// measurement gets a fresh universe.
 template <class Tm>
-void protocol_row(const Options& opt, report::TableData& table, const char* name) {
-  report::SeriesData& series = table.add_series(name);
-  report::Point& p = series.add_point(static_cast<double>(kAccesses));
+void protocol_rows(const Options& opt, report::TableData& reads, report::TableData& writes,
+                   const char* name) {
+  const double x = static_cast<double>(kAccesses);
   {
     TmUniverse<HtmEmul> u;
-    p.set("read_ns_per_access", reads_ns_per_access<Tm>(opt, u));
+    reads.add_series(name).add_point(x).set("read_ns_per_access",
+                                            reads_ns_per_access<Tm>(opt, u));
   }
   {
     TmUniverse<HtmEmul> u;
-    p.set("write_ns_per_access", writes_ns_per_access<Tm>(opt, u));
+    writes.add_series(name).add_point(x).set("write_ns_per_access",
+                                             writes_ns_per_access<Tm>(opt, u));
   }
 }
 
@@ -100,13 +111,16 @@ RHTM_SCENARIO(micro_barriers, "—",
   report::BenchReport rep;
   rep.substrate = SubstrateTraits<HtmEmul>::kName;
   rep.set_meta("accesses_per_tx", std::to_string(kAccesses));
-  report::TableData& table =
-      rep.add_table("Microbench - per-access barrier cost of each protocol's fast path (emul)",
+  report::TableData& reads =
+      rep.add_table("Microbench - per-access read barrier cost of each protocol's fast path (emul)",
                     report::TableStyle::kWide, "accesses", "read_ns_per_access");
-  protocol_row<EmulHtmOnly>(opt, table, "HTM");
-  protocol_row<EmulHybridTm>(opt, table, "RH1-Fast");
-  protocol_row<EmulStandardHytm>(opt, table, "StandardHyTM");
-  protocol_row<EmulTl2>(opt, table, "TL2");
+  report::TableData& writes = rep.add_table(
+      "Microbench - per-access write barrier cost of each protocol's fast path (emul)",
+      report::TableStyle::kWide, "accesses", "write_ns_per_access");
+  protocol_rows<EmulHtmOnly>(opt, reads, writes, "HTM");
+  protocol_rows<EmulHybridTm>(opt, reads, writes, "RH1-Fast");
+  protocol_rows<EmulStandardHytm>(opt, reads, writes, "StandardHyTM");
+  protocol_rows<EmulTl2>(opt, reads, writes, "TL2");
 
   report::TableData& overhead =
       rep.add_table("Microbench - trace recorder overhead (emul, read path)",

@@ -225,8 +225,10 @@ class PhasedTm {
   class ThreadCtx : public ThreadCtxBase<H> {
    public:
     explicit ThreadCtx(PhasedTm& tm)
-        : ThreadCtxBase<H>(tm.u_, ContentionManager::Limits{0, tm.cfg_.max_hw_attempts,
-                                                            tm.cfg_.capacity_retries}) {}
+        : ThreadCtxBase<H>(tm.u_,
+                           ContentionManager::Limits{0, tm.cfg_.max_hw_attempts,
+                                                     tm.cfg_.capacity_retries},
+                           StripeLockUse::kLocker) {}
 
    private:
     friend class PhasedTm;
@@ -271,7 +273,7 @@ class PhasedTm {
     // here — the whole system pays STM until the count drains back to zero.
     ctx.record_escalate(ExecPath::kStm);
     u_.htm().nontx_fetch_add(u_.phase_word(), 1);
-    detail::tl2_run(u_, ctx, ctx.sw_, body);
+    detail::tl2_run(u_, ctx, ctx.sw_, body, /*beside_hardware=*/false);
     u_.htm().nontx_fetch_add(u_.phase_word(), ~TmWord{0});  // -1
   }
 

@@ -81,6 +81,12 @@ class HtmEmul {
     return c.word.fetch_add(delta, std::memory_order_acq_rel);
   }
 
+  /// Runs `fn` directly: emulated commits have no window to hold off.
+  template <class Fn>
+  decltype(auto) nontx_exclusive(Fn&& fn) {
+    return std::forward<Fn>(fn)();
+  }
+
   template <class Entries>
   void nontx_publish(const Entries& entries) {
     for (const auto& e : entries) {

@@ -33,6 +33,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <utility>
 
 #include "core/htm_common.h"
 #include "core/pmu.h"
@@ -196,6 +197,13 @@ class HtmRtm {
   }
   TmWord nontx_fetch_add(TmCell& c, TmWord delta) {
     return c.word.fetch_add(delta, std::memory_order_acq_rel);
+  }
+
+  /// Runs `fn` directly: a non-transactional write conflicts out any
+  /// hardware transaction that touched the word (strong isolation).
+  template <class Fn>
+  decltype(auto) nontx_exclusive(Fn&& fn) {
+    return std::forward<Fn>(fn)();
   }
 
   /// Multi-word software publication. Hardware transactions are protected by

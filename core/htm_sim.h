@@ -200,6 +200,18 @@ class HtmSim {
     return prev;
   }
 
+  /// Runs `fn` with simulated hardware commits held off, so no commit sits
+  /// between its validation and its write-back while `fn` runs.
+  template <class Fn>
+  decltype(auto) nontx_exclusive(Fn&& fn) {
+    pub_.lock();
+    struct Unlock {
+      detail::PublicationSeqlock& p;
+      ~Unlock() { p.unlock(); }
+    } guard{pub_};
+    return std::forward<Fn>(fn)();
+  }
+
   /// Multi-word software publication (TL2 / slow-slow / NOrec write-back):
   /// holds the commit lock across the whole batch so a hardware commit's
   /// validation can never observe a half-published software commit, and

@@ -4,8 +4,8 @@
 // chain of §4.
 //
 // Fast path (kRh1Fast): the whole body runs in ONE hardware transaction.
-// Reads are completely uninstrumented (one load). Writes store the data
-// word and record the stripe; at the commit point the transaction re-reads
+// Reads are completely uninstrumented (one load). A write is one data store
+// plus a note of its stripe; at the commit point the transaction re-reads
 // the clock and publishes every written stripe at clock+1, so software
 // readers serialize against fast commits through the ordinary TL2
 // validation rules. No read-set, no write buffering, no logging.
@@ -17,6 +17,21 @@
 // ~4x capacity headroom of §1.2), fetches a write version, and publishes
 // write-set data + stripe versions atomically. No stripe locks anywhere on
 // this path.
+//
+// Where stripe locks can exist. In a non-durable universe the only stripe
+// locks are those of the slow-slow commit (detail::tl2_software_commit),
+// which runs inside an RH2 transaction, between its increment and its
+// decrement of the universe's RH2 word. Both hardware commits load that
+// word anyway (for the mask check), so they test their write stripes for
+// the lock bit only while it is non-zero: an RH2 transaction that starts
+// later writes the word and conflicts the commit out. A durable universe
+// also keeps the hardware commits' own stripes locked past _xend, until
+// their persist step; there the lock test is unconditional. The reduced
+// commit still validates every read stripe (lock bit and version): it needs
+// the version anyway. No other protocol may lock stripes of a non-durable
+// universe while a HybridTm runs on it: the universe refuses thread
+// contexts that would (TmUniverse::claim_stripe_use, docs/ARCHITECTURE.md
+// §2).
 //
 // RH2 (kRh2Slow): if the reduced commit itself exceeds the hardware budget,
 // the transaction re-executes with *visible* reads — readers publish
@@ -62,13 +77,19 @@ class HybridTm {
   class ThreadCtx : public ThreadCtxBase<H> {
    public:
     explicit ThreadCtx(HybridTm& tm)
-        : ThreadCtxBase<H>(tm.u_, ContentionManager::Limits{tm.cfg_.slow_retry_percent, 0,
-                                                            tm.cfg_.capacity_retries}) {}
+        : ThreadCtxBase<H>(tm.u_,
+                           ContentionManager::Limits{tm.cfg_.slow_retry_percent, 0,
+                                                     tm.cfg_.capacity_retries},
+                           StripeLockUse::kHybrid) {}
 
    private:
     friend class HybridTm;
     detail::Tl2Sets sw_;
-    StripeSet fast_written_;  ///< distinct stripes the fast path stamps
+    /// Distinct stripes the fast path stamps. Its insert is the fast-path
+    /// write barrier, so the table starts sparse: a transaction's few dozen
+    /// stripes would half fill the default 64 slots and lengthen the probe
+    /// runs.
+    StripeSet fast_written_{1024};
     std::vector<pmem::CapturedWrite> fast_redo_;  ///< durable: fast-path write capture
     StripeSet masks_;  ///< stripes with our RH2 read mask published (O(1) self test)
   };
@@ -86,9 +107,11 @@ class HybridTm {
 
  private:
   // ---------------------------------------------------------------- fast --
-  /// Uninstrumented reads; writes = data store + stripe bookkeeping. The
+  /// Uninstrumented reads; a write is the data store plus a note of its
+  /// stripe, with no metadata load (fast_commit_stamp tests for locks). The
   /// written-stripe record is exactly deduplicated, so the commit point
-  /// stamps each stripe once however the body's stores interleave.
+  /// stamps each stripe once however the body's stores interleave: a stamp
+  /// per store would double the hardware write footprint.
   struct FastHandle {
     typename H::Tx& t;
     StripeTable& st;
@@ -110,10 +133,8 @@ class HybridTm {
     }
 
     void store(TmCell& c, TmWord v) {
-      const std::size_t s = st.index_of(&c);
-      if (StripeTable::is_locked(t.load(st.word(s)))) t.abort_explicit();
       t.store(c, v);
-      written.insert(static_cast<std::uint32_t>(s));
+      written.insert(static_cast<std::uint32_t>(st.index_of(&c)));
       if (redo != nullptr) redo->push_back({&c, v});
     }
   };
@@ -164,27 +185,41 @@ class HybridTm {
     run_slow(ctx, body, false);
   }
 
-  /// Commit-point publication for the fast path: fresh clock, one stamp
-  /// per distinct written stripe, and — only while RH2 readers exist —
-  /// mask checks. In durable mode the stamps carry the lock bit: the
-  /// transaction's in-memory effects become visible at _xend, but every
-  /// written stripe stays locked until durable_publish() has logged,
-  /// marked and applied them — so no reader consumes state that is not
-  /// yet on the durable medium. `*wv_out` receives the commit version the
-  /// post-_xend unlock releases to.
+  /// Commit-point publication for the fast path: fresh clock and one stamp
+  /// per distinct written stripe (stamp_write_stripes).
+  ///
+  /// In durable mode the stamps carry the lock bit: the transaction's
+  /// in-memory effects become visible at _xend, but every written stripe
+  /// stays locked until durable_publish() has logged, marked and applied
+  /// them — so no reader consumes state that is not yet on the durable
+  /// medium. `*wv_out` receives the commit version the post-_xend unlock
+  /// releases to.
   void fast_commit_stamp(typename H::Tx& t, const StripeSet& written, TmWord* wv_out) {
     if (written.empty()) return;
-    if (t.load(u_.rh2_word()) != 0) {
-      for (const std::uint32_t s : written.items()) {
-        if (t.load(u_.stripes().read_mask(s)) != 0) t.abort_explicit();
-      }
-    }
     const TmWord wv = u_.clock().hw_next(t);
-    const TmWord stamp = StripeTable::commit_stamp(wv, u_.durable());
-    for (const std::uint32_t s : written.items()) {
-      t.store(u_.stripes().word(s), stamp);
-    }
+    stamp_write_stripes(t, written.items(), StripeTable::commit_stamp(wv, u_.durable()));
     *wv_out = wv;
+  }
+
+  /// The write-stripe loop of the fast and reduced commits: one stamp per
+  /// stripe, each tested first only where a lock or a visible reader can
+  /// exist — the lock bit while an RH2 transaction is live or in durable
+  /// mode, the read mask while an RH2 transaction is live. With the RH2
+  /// word zero in a non-durable universe no stripe word is loaded at all.
+  void stamp_write_stripes(typename H::Tx& t, const std::vector<std::uint32_t>& stripes,
+                           TmWord stamp) {
+    StripeTable& st = u_.stripes();
+    const bool check_masks = t.load(u_.rh2_word()) != 0;
+    const bool check_locks = check_masks || u_.durable();
+    for (std::size_t i = 0; i < stripes.size(); ++i) {
+      if (i + 1 < stripes.size()) st.prefetch_word(stripes[i + 1], /*for_write=*/true);
+      const std::uint32_t s = stripes[i];
+      if (check_locks) {
+        if (StripeTable::is_locked(t.load(st.word(s)))) t.abort_explicit();
+        if (check_masks && t.load(st.read_mask(s)) != 0) t.abort_explicit();
+      }
+      t.store(st.word(s), stamp);
+    }
   }
 
   // ---------------------------------------------------------------- slow --
@@ -273,23 +308,12 @@ class HybridTm {
             t.abort_explicit();
           }
         }
-        const bool check_masks = t.load(u_.rh2_word()) != 0;
         const TmWord wv = u_.clock().hw_next(t);
         // Durable: stamp LOCKED inside the hardware transaction, so the
         // values published at _xend stay unreadable until durable_publish()
         // has persisted them and unlocked to wv (fine-grained fast-path
         // locking — the reduced commit stays lock-free in non-durable mode).
-        const TmWord stamped = StripeTable::commit_stamp(wv, durable);
-        const auto& write_stripes = sw.ws.write_stripes();  // one stamp per stripe
-        for (std::size_t i = 0; i < write_stripes.size(); ++i) {
-          if (i + 1 < write_stripes.size()) {
-            st.prefetch_word(write_stripes[i + 1], /*for_write=*/true);
-          }
-          const std::uint32_t s = write_stripes[i];
-          if (StripeTable::is_locked(t.load(st.word(s)))) t.abort_explicit();
-          if (check_masks && t.load(st.read_mask(s)) != 0) t.abort_explicit();
-          t.store(st.word(s), stamped);
-        }
+        stamp_write_stripes(t, sw.ws.write_stripes(), StripeTable::commit_stamp(wv, durable));
         for (const WriteEntry& e : sw.ws.entries()) {
           t.store(*e.cell, e.value);
         }
@@ -364,7 +388,8 @@ class HybridTm {
           ctx.record_abort(AbortCause::kHtmCapacity);
         }
         ctx.record_escalate(ExecPath::kRh2SlowSlow);
-        detail::tl2_software_commit(u_, ctx, sw.rs, sw.ws, rv, sw.lock_scratch, &ctx.masks_);
+        detail::tl2_software_commit(u_, ctx, sw.rs, sw.ws, rv, sw.lock_scratch,
+                                    /*beside_hardware=*/true, &ctx.masks_);
         return ExecPath::kRh2SlowSlow;
       }
       ctx.cm().backoff_commit(tries);
@@ -388,11 +413,11 @@ class HybridTm {
   }
 
   void publish_once(ThreadCtx& ctx, std::uint32_t stripe) {
-    if (ctx.masks_.insert(stripe)) u_.stripes().publish_read(stripe);
+    if (ctx.masks_.insert(stripe)) u_.stripes().publish_read(u_.htm(), stripe);
   }
 
   void unpublish_all(ThreadCtx& ctx) {
-    for (const std::uint32_t s : ctx.masks_.items()) u_.stripes().unpublish_read(s);
+    for (const std::uint32_t s : ctx.masks_.items()) u_.stripes().unpublish_read(u_.htm(), s);
     ctx.masks_.clear();
   }
 

@@ -31,9 +31,13 @@ class StandardHytm {
   class ThreadCtx : public ThreadCtxBase<H> {
    public:
     explicit ThreadCtx(StandardHytm& tm)
-        : ThreadCtxBase<H>(tm.u_, ContentionManager::Limits{
-                                      0, tm.cfg_.hardware_only ? 0 : tm.cfg_.max_hw_attempts,
-                                      tm.cfg_.capacity_retries}) {}
+        : ThreadCtxBase<H>(
+              tm.u_,
+              ContentionManager::Limits{0, tm.cfg_.hardware_only ? 0 : tm.cfg_.max_hw_attempts,
+                                        tm.cfg_.capacity_retries},
+              // hardware_only never reaches the TL2 fallback outside a
+              // durable universe.
+              tm.cfg_.hardware_only ? StripeLockUse::kNone : StripeLockUse::kLocker) {}
 
    private:
     friend class StandardHytm;
@@ -111,7 +115,7 @@ class StandardHytm {
       return;
     }
     ctx.record_escalate(ExecPath::kStm);
-    detail::tl2_run(u_, ctx, ctx.sw_, body);
+    detail::tl2_run(u_, ctx, ctx.sw_, body, /*beside_hardware=*/true);
   }
 
   /// Commit-point stamping: re-read the clock inside the transaction so the

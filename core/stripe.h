@@ -169,26 +169,19 @@ class StripeTable {
     word(i).word.fetch_and(~kLockBit, std::memory_order_release);
   }
 
-  /// RH2 visible-read publication: per-stripe reader counter.
-  void publish_read(std::size_t i) {
-    auto& m = read_mask(i).word;
-    if (cfg_.mask_rmw == MaskRmw::kFetchAdd) {
-      m.fetch_add(1, std::memory_order_acq_rel);
-    } else {
-      TmWord cur = m.load(std::memory_order_acquire);
-      while (!m.compare_exchange_weak(cur, cur + 1, std::memory_order_acq_rel)) {
-      }
-    }
+  /// RH2 visible-read publication: per-stripe reader counter, changed
+  /// through the substrate's read-modify-write API (one nontx_fetch_add,
+  /// or a nontx_load + nontx_cas retry loop under MaskRmw::kCasLoop). On
+  /// `sim` that serializes a publish against a simulated hardware commit:
+  /// the commit either sees the new reader or has fully published before
+  /// the reader's validated read.
+  template <class H>
+  void publish_read(H& htm, std::size_t i) {
+    add_readers(htm, read_mask(i), 1);
   }
-  void unpublish_read(std::size_t i) {
-    auto& m = read_mask(i).word;
-    if (cfg_.mask_rmw == MaskRmw::kFetchAdd) {
-      m.fetch_sub(1, std::memory_order_acq_rel);
-    } else {
-      TmWord cur = m.load(std::memory_order_acquire);
-      while (!m.compare_exchange_weak(cur, cur - 1, std::memory_order_acq_rel)) {
-      }
-    }
+  template <class H>
+  void unpublish_read(H& htm, std::size_t i) {
+    add_readers(htm, read_mask(i), ~TmWord{0});  // -1
   }
   [[nodiscard]] TmWord readers(std::size_t i) const {
     return shards_[i >> per_shard_log2_].read_masks[i & per_shard_mask_].word.load(
@@ -203,6 +196,16 @@ class StripeTable {
     std::vector<TmCell> words;
     std::vector<TmCell> read_masks;
   };
+
+  template <class H>
+  void add_readers(H& htm, TmCell& m, TmWord delta) {
+    if (cfg_.mask_rmw == MaskRmw::kFetchAdd) {
+      htm.nontx_fetch_add(m, delta);
+      return;
+    }
+    TmWord cur = htm.nontx_load(m);
+    while (!htm.nontx_cas(m, cur, cur + delta)) cur = htm.nontx_load(m);
+  }
 
   StripeConfig cfg_;
   std::size_t mask_;

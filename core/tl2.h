@@ -85,9 +85,18 @@ struct Tl2Handle {
 /// committing transaction itself published an RH2 read mask; the commit
 /// then refuses to overwrite a stripe that carries any *other* visible
 /// reader (the RH2 slow-slow path's obligation).
+///
+/// `beside_hardware`: hardware commits on the universe may run while this
+/// commit takes its locks (StandardHytm's fallback beside its hardware
+/// path, RH2's slow-slow beside RH1 commits). The acquire then runs under
+/// the substrate's nontx_exclusive: on `sim` a raw CAS landing between a
+/// hardware commit's validation and its write-back would be overwritten by
+/// the commit's stamp, and two commits would own the stripe. Tl2 has no
+/// hardware path, and PhasedTm's software phase shuts its hardware out.
 template <class H>
 inline void tl2_software_commit(TmUniverse<H>& u, Recorder& rec, ReadSet& rs, WriteSet& ws,
                                 TmWord rv, std::vector<std::uint32_t>& locked,
+                                bool beside_hardware,
                                 const StripeSet* self_read_masks = nullptr) {
   if (ws.empty()) return;  // read-only: post-validated reads suffice
   StripeTable& st = u.stripes();
@@ -97,16 +106,20 @@ inline void tl2_software_commit(TmUniverse<H>& u, Recorder& rec, ReadSet& rs, Wr
   const auto release_restore = [&] {
     for (std::size_t i = 0; i < acquired; ++i) st.unlock_restore(locked[i]);
   };
-  for (; acquired < locked.size(); ++acquired) {
-    // The sorted stripe indices hash to scattered table words; prefetch the
-    // next lock word (exclusive) so its miss overlaps this CAS.
-    if (acquired + 1 < locked.size()) {
-      st.prefetch_word(locked[acquired + 1], /*for_write=*/true);
+  const auto acquire_all = [&] {
+    for (; acquired < locked.size(); ++acquired) {
+      // The sorted stripe indices hash to scattered table words; prefetch
+      // the next lock word (exclusive) so its miss overlaps this CAS.
+      if (acquired + 1 < locked.size()) {
+        st.prefetch_word(locked[acquired + 1], /*for_write=*/true);
+      }
+      if (!st.try_lock(locked[acquired])) return false;
     }
-    if (!st.try_lock(locked[acquired])) {
-      release_restore();
-      throw StmAbort{AbortCause::kStmLocked};
-    }
+    return true;
+  };
+  if (!(beside_hardware ? u.htm().nontx_exclusive(acquire_all) : acquire_all())) {
+    release_restore();
+    throw StmAbort{AbortCause::kStmLocked};
   }
   if (self_read_masks != nullptr) {
     for (const std::uint32_t s : locked) {
@@ -143,16 +156,17 @@ struct Tl2Sets {
 
 /// Full TL2 transaction: software attempts until one commits, recorded on
 /// the software tier. Callers that escalate into it have already recorded
-/// the begin.
+/// the begin. `beside_hardware` as for tl2_software_commit.
 template <class H, class Body>
-inline void tl2_run(TmUniverse<H>& u, ThreadCtxBase<H>& ctx, Tl2Sets& sw, Body& body) {
+inline void tl2_run(TmUniverse<H>& u, ThreadCtxBase<H>& ctx, Tl2Sets& sw, Body& body,
+                    bool beside_hardware) {
   ctx.run_software(ExecPath::kStm, &u.clock(), [&](ExecPath) -> std::optional<ExecPath> {
     sw.rs.clear();
     sw.ws.clear();
     const TmWord rv = u.clock().read();
     Tl2Handle<H> h{u, sw.rs, sw.ws, rv};
     body(h);
-    tl2_software_commit(u, ctx, sw.rs, sw.ws, rv, sw.lock_scratch);
+    tl2_software_commit(u, ctx, sw.rs, sw.ws, rv, sw.lock_scratch, beside_hardware);
     return ExecPath::kStm;
   });
 }
@@ -166,7 +180,8 @@ class Tl2 {
 
   class ThreadCtx : public ThreadCtxBase<H> {
    public:
-    explicit ThreadCtx(Tl2& tm) : ThreadCtxBase<H>(tm.u_, ContentionManager::Limits{}) {}
+    explicit ThreadCtx(Tl2& tm)
+        : ThreadCtxBase<H>(tm.u_, ContentionManager::Limits{}, StripeLockUse::kLocker) {}
 
    private:
     friend class Tl2;
@@ -177,7 +192,7 @@ class Tl2 {
 
   template <class Body>
   void atomically(ThreadCtx& ctx, Body&& body) {
-    ctx.transaction([&] { detail::tl2_run(u_, ctx, ctx.sw_, body); });
+    ctx.transaction([&] { detail::tl2_run(u_, ctx, ctx.sw_, body, /*beside_hardware=*/false); });
   }
 
  private:

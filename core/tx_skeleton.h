@@ -124,6 +124,23 @@ inline void write_back(TmUniverse<H>& u, Recorder& rec, const Entries& entries,
   }
 }
 
+/// A thread context's claim on its universe's stripe-lock rule, held for
+/// the context's lifetime (TmUniverse::claim_stripe_use).
+template <class H>
+class StripeUseClaim {
+ public:
+  StripeUseClaim(TmUniverse<H>& u, StripeLockUse use) : u_(u), use_(use) {
+    u_.claim_stripe_use(use_);
+  }
+  ~StripeUseClaim() { u_.release_stripe_use(use_); }
+  StripeUseClaim(const StripeUseClaim&) = delete;
+  StripeUseClaim& operator=(const StripeUseClaim&) = delete;
+
+ private:
+  TmUniverse<H>& u_;
+  StripeLockUse use_;
+};
+
 }  // namespace detail
 
 /// The per-thread context every protocol ThreadCtx derives from, and the
@@ -131,8 +148,10 @@ inline void write_back(TmUniverse<H>& u, Recorder& rec, const Entries& entries,
 template <class H>
 class ThreadCtxBase : public Recorder {
  public:
-  ThreadCtxBase(TmUniverse<H>& u, const ContentionManager::Limits& limits)
+  ThreadCtxBase(TmUniverse<H>& u, const ContentionManager::Limits& limits,
+                StripeLockUse stripe_use = StripeLockUse::kNone)
       : Recorder(u.acquire_trace_ring()),
+        stripe_use_(u, stripe_use),
         tx_(u.htm()),
         rng_(detail::next_ctx_seed()),
         cm_(u.config().cm, limits) {
@@ -220,6 +239,7 @@ class ThreadCtxBase : public Recorder {
   }
 
  protected:
+  detail::StripeUseClaim<H> stripe_use_;
   typename H::Tx tx_;
   Xoshiro256 rng_;
   ContentionManager cm_;

@@ -7,7 +7,9 @@
 // funnels through. Benches construct one universe per figure (or per
 // protocol) and instantiate protocols over it.
 
+#include <atomic>
 #include <memory>
+#include <stdexcept>
 
 #include "core/clock.h"
 #include "core/contention.h"
@@ -73,6 +75,14 @@ namespace detail {
 }
 }  // namespace detail
 
+/// How a protocol's thread contexts use stripe locks (TmUniverse::
+/// claim_stripe_use).
+enum class StripeLockUse : unsigned {
+  kNone,    ///< never locks stripes, or only inside a HybridTm RH2 attempt
+  kHybrid,  ///< HybridTm: hardware commits test locks only under live RH2
+  kLocker,  ///< locks stripes in software (Tl2, StandardHytm, PhasedTm)
+};
+
 template <class H>
 class TmUniverse {
  public:
@@ -109,6 +119,32 @@ class TmUniverse {
   /// HybridTm: live RH2 transactions; fast and reduced commits subscribe.
   [[nodiscard]] TmCell& rh2_word() { return rh2_active_; }
 
+  /// The stripe-lock rule (docs/ARCHITECTURE.md §2). In a non-durable
+  /// universe HybridTm's hardware commits test their write stripes for the
+  /// lock bit only while an RH2 attempt is live, so no other protocol may
+  /// lock stripes while a HybridTm runs. Every thread context claims its
+  /// use for its lifetime; a claim that would make HybridTm contexts and
+  /// stripe-locking contexts live at once throws std::logic_error. Durable
+  /// universes test locks on every commit and accept any mix.
+  void claim_stripe_use(StripeLockUse use) {
+    if (use == StripeLockUse::kNone || durable()) return;
+    std::atomic<unsigned>& mine = claims(use);
+    // seq_cst increment, then read: of two racing claims of different
+    // kinds, at least one sees the other.
+    mine.fetch_add(1);
+    if (claims(use == StripeLockUse::kHybrid ? StripeLockUse::kLocker : StripeLockUse::kHybrid)
+            .load() != 0) {
+      mine.fetch_sub(1);
+      throw std::logic_error(
+          "HybridTm and a stripe-locking protocol (Tl2, StandardHytm, PhasedTm) live on one "
+          "non-durable universe");
+    }
+  }
+  void release_stripe_use(StripeLockUse use) {
+    if (use == StripeLockUse::kNone || durable()) return;
+    claims(use).fetch_sub(1);
+  }
+
   /// True when this universe persists commits (cfg.durable). Non-durable
   /// universes never construct a PersistentDomain and emit zero fences.
   [[nodiscard]] bool durable() const { return pmem_ != nullptr; }
@@ -129,6 +165,10 @@ class TmUniverse {
   }
 
  private:
+  std::atomic<unsigned>& claims(StripeLockUse use) {
+    return use == StripeLockUse::kHybrid ? hybrid_ctxs_ : locker_ctxs_;
+  }
+
   UniverseConfig cfg_;
   const Topology* topo_;
   H htm_;
@@ -141,6 +181,10 @@ class TmUniverse {
   alignas(64) TmCell norec_seq_;
   alignas(64) TmCell phase_;
   alignas(64) TmCell rh2_active_;
+  // Written only when a thread context is built or destroyed; its own
+  // line keeps that off the RH2 word's.
+  alignas(64) std::atomic<unsigned> hybrid_ctxs_{0};  ///< live kHybrid contexts
+  std::atomic<unsigned> locker_ctxs_{0};              ///< live kLocker contexts
 };
 
 }  // namespace rhtm

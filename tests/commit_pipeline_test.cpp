@@ -6,8 +6,18 @@
 //    stripe count, not the raw read count: zipfian re-reads of a hot set
 //    stay on the RH1-slow tier instead of spuriously escalating to RH2;
 //  * the RH2 slow-slow commit honors its own published read masks through
-//    the O(1) self-mask view and leaves no mask behind.
+//    the O(1) self-mask view and leaves no mask behind;
+//  * the RH1 fast path stamps each distinct written stripe once, so a
+//    256-write transaction fits the emulated 512-store budget;
+//  * neither RH1 hardware commit stamps over a stripe lock where one can
+//    exist: in a durable universe, or while an RH2 transaction is live;
+//  * a non-durable universe refuses to host HybridTm contexts and contexts
+//    of a stripe-locking protocol at once, the rule that makes skipping the
+//    lock test outside RH2 sound.
 
+#include <atomic>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/rhtm.h"
@@ -156,6 +166,146 @@ void rh2_slow_slow_respects_own_masks(NumaMode numa) {
   }
 }
 
+/// micro_barriers' write shape: 256 stores to consecutive cells in one
+/// fast-path transaction on emul. The fast path stamps each distinct stripe
+/// once (about 64 stamps), so store count stays well inside the 512-store
+/// budget and every transaction commits on the fast path. A record that
+/// stamped once per store would need 513 stores and fall to the slow path.
+void fast_path_stamps_distinct_stripes(NumaMode numa) {
+  constexpr std::size_t kCells = 1024;
+  constexpr std::size_t kWrites = 256;
+  TmUniverse<HtmEmul> u(with_numa(UniverseConfig{}, numa));
+  HybridTm<HtmEmul> tm(u);
+  HybridTm<HtmEmul>::ThreadCtx ctx(tm);
+  std::vector<TVar<TmWord>> cells(kCells);
+  for (std::size_t round = 0; round < 8; ++round) {
+    tm.atomically(ctx, [&](auto& tx) {
+      for (std::size_t i = 0; i < kWrites; ++i) {
+        cells[(round * kWrites + i) & (kCells - 1)].write(tx, round + i);
+      }
+    });
+  }
+  CHECK_EQ(ctx.stats.commits, 8u);
+  CHECK_EQ(commits_on(ctx.stats, ExecPath::kRh1Fast), 8u);
+  CHECK_EQ(ctx.stats.aborts_by_cause[static_cast<std::size_t>(AbortCause::kHtmCapacity)], 0u);
+  CHECK_EQ(cells[kCells - 1].unsafe_read(), 7u + kWrites - 1);
+}
+
+/// A blind write of one cell whose stripe is locked by hand, by `tm` on a
+/// second thread. The lock stands in for a slow-slow commit (RH2 word
+/// raised) or a durable commit still persisting. The write must not commit
+/// while the lock is held: attempt after attempt, the stripe word stays
+/// exactly as locked and the cell keeps its value. Once released, the same
+/// transaction commits and stamps a newer version.
+template <class H>
+void blind_write_waits_for_lock(TmUniverse<H>& u, const typename HybridTm<H>::Config& cfg) {
+  HybridTm<H> tm(u, cfg);
+  StripeTable& st = u.stripes();
+  TVar<TmWord> cell(1);
+  const std::size_t s = st.index_of(&cell.cell());
+  CHECK(st.try_lock(s));
+  const TmWord locked = st.word(s).unsafe_load();
+  std::atomic<unsigned> attempts{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    typename HybridTm<H>::ThreadCtx ctx(tm);
+    tm.atomically(ctx, [&](auto& tx) {
+      attempts.fetch_add(1, std::memory_order_relaxed);
+      cell.write(tx, 2);
+    });
+    done.store(true);
+  });
+  while (attempts.load() < 64 && !done.load()) std::this_thread::yield();
+  CHECK(!done.load());
+  CHECK_EQ(st.word(s).unsafe_load(), locked);
+  CHECK_EQ(cell.unsafe_read(), 1u);
+  st.unlock_restore(s);
+  writer.join();
+  CHECK_EQ(cell.unsafe_read(), 2u);
+  const TmWord after = st.word(s).unsafe_load();
+  CHECK(!StripeTable::is_locked(after));
+  CHECK(StripeTable::version_of(after) > StripeTable::version_of(locked));
+}
+
+/// The fast path (fast-only config) and the reduced commit (forced slow
+/// path), each against a hand-held lock: in a durable universe, and in a
+/// non-durable one with the RH2 word raised.
+void hand_locked_stripe_is_not_stamped_over(NumaMode numa) {
+  HybridTm<HtmSim>::Config fast;
+  fast.slow_retry_percent = 0;
+  HybridTm<HtmSim>::Config reduced;
+  reduced.force_slow_path = true;
+  for (const auto* cfg : {&fast, &reduced}) {
+    {
+      UniverseConfig ucfg;
+      ucfg.durable = true;
+      TmUniverse<HtmSim> u(with_numa(ucfg, numa));
+      blind_write_waits_for_lock(u, *cfg);
+    }
+    {
+      TmUniverse<HtmSim> u(with_numa(UniverseConfig{}, numa));
+      u.htm().nontx_fetch_add(u.rh2_word(), 1);  // an RH2 transaction is live
+      blind_write_waits_for_lock(u, *cfg);
+      u.htm().nontx_fetch_add(u.rh2_word(), ~TmWord{0});
+    }
+  }
+}
+
+/// True when constructing a thread context of `tm` throws the stripe-lock
+/// rule's std::logic_error.
+template <class Tm>
+bool ctx_refused(Tm& tm) {
+  try {
+    typename Tm::ThreadCtx ctx(tm);
+  } catch (const std::logic_error&) {
+    return true;
+  }
+  return false;
+}
+
+/// TmUniverse::claim_stripe_use: on a non-durable universe, HybridTm
+/// contexts and contexts of a stripe-locking protocol (Tl2, PhasedTm,
+/// StandardHytm with its TL2 fallback) are never live at once, whichever
+/// comes first. Protocols that lock no stripes mix with either kind, a
+/// refused or destroyed context frees its claim, and a durable universe
+/// accepts any mix.
+void stripe_lock_rule_is_enforced() {
+  TmUniverse<HtmSim> u;
+  HybridTm<HtmSim> rh(u);
+  Tl2<HtmSim> tl2(u);
+  PhasedTm<HtmSim> phased(u);
+  StandardHytm<HtmSim> hytm(u);
+  StandardHytm<HtmSim>::Config hw_only_cfg;
+  hw_only_cfg.hardware_only = true;
+  StandardHytm<HtmSim> hytm_hw_only(u, hw_only_cfg);
+  HtmOnly<HtmSim> htm(u);
+  {
+    HybridTm<HtmSim>::ThreadCtx live(rh);
+    CHECK(ctx_refused(tl2));
+    CHECK(ctx_refused(phased));
+    CHECK(ctx_refused(hytm));
+    CHECK(!ctx_refused(hytm_hw_only));
+    CHECK(!ctx_refused(htm));
+    CHECK(!ctx_refused(rh));
+  }
+  {
+    Tl2<HtmSim>::ThreadCtx live(tl2);
+    CHECK(ctx_refused(rh));
+    CHECK(!ctx_refused(phased));
+    CHECK(!ctx_refused(hytm));
+  }
+  CHECK(!ctx_refused(rh));
+  CHECK(!ctx_refused(tl2));
+
+  UniverseConfig durable_cfg;
+  durable_cfg.durable = true;
+  TmUniverse<HtmSim> du(durable_cfg);
+  HybridTm<HtmSim> durable_rh(du);
+  Tl2<HtmSim> durable_tl2(du);
+  HybridTm<HtmSim>::ThreadCtx live(durable_rh);
+  CHECK(!ctx_refused(durable_tl2));
+}
+
 }  // namespace
 }  // namespace rhtm
 
@@ -179,5 +329,14 @@ int main() {
                [] { rhtm::rh2_slow_slow_respects_own_masks(NumaMode::kOff); }},
       TestCase{"rh2_slow_slow_respects_own_masks_numa_shard",
                [] { rhtm::rh2_slow_slow_respects_own_masks(NumaMode::kShard); }},
+      TestCase{"fast_path_stamps_distinct_stripes",
+               [] { rhtm::fast_path_stamps_distinct_stripes(NumaMode::kOff); }},
+      TestCase{"fast_path_stamps_distinct_stripes_numa_shard",
+               [] { rhtm::fast_path_stamps_distinct_stripes(NumaMode::kShard); }},
+      TestCase{"hand_locked_stripe_is_not_stamped_over",
+               [] { rhtm::hand_locked_stripe_is_not_stamped_over(NumaMode::kOff); }},
+      TestCase{"hand_locked_stripe_is_not_stamped_over_numa_shard",
+               [] { rhtm::hand_locked_stripe_is_not_stamped_over(NumaMode::kShard); }},
+      TestCase{"stripe_lock_rule_is_enforced", rhtm::stripe_lock_rule_is_enforced},
   });
 }

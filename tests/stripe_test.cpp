@@ -1,6 +1,7 @@
 // Stripe table geometry, versioned-lock encoding, read-mask publication,
 // and the abort injector's ratio mapping.
 
+#include "core/htm_sim.h"
 #include "core/stats.h"
 #include "core/stripe.h"
 #include "test_common.h"
@@ -47,13 +48,14 @@ void read_mask_publication() {
     StripeConfig cfg;
     cfg.mask_rmw = mode;
     StripeTable table(cfg);
+    HtmSim htm;
     CHECK_EQ(table.readers(3), 0u);
-    table.publish_read(3);
-    table.publish_read(3);
+    table.publish_read(htm, 3);
+    table.publish_read(htm, 3);
     CHECK_EQ(table.readers(3), 2u);
-    table.unpublish_read(3);
+    table.unpublish_read(htm, 3);
     CHECK_EQ(table.readers(3), 1u);
-    table.unpublish_read(3);
+    table.unpublish_read(htm, 3);
     CHECK_EQ(table.readers(3), 0u);
   }
 }

@@ -154,6 +154,7 @@ void sharded_table_matches_flat() {
   StripeConfig sharded_cfg = flat_cfg;
   sharded_cfg.shards = 4;
   StripeTable sharded(sharded_cfg);
+  HtmSim htm;
   CHECK_EQ(flat.count(), sharded.count());
   // index_of is shard-independent (the hash is over the unchanged global
   // index space) and every lock/mask operation behaves identically.
@@ -168,9 +169,9 @@ void sharded_table_matches_flat() {
     CHECK(!sharded.try_lock(i));
     sharded.unlock_to(i, 7);
     CHECK_EQ(StripeTable::version_of(sharded.word(i).word.load()), 7u);
-    sharded.publish_read(i);
+    sharded.publish_read(htm, i);
     CHECK_EQ(sharded.readers(i), 1u);
-    sharded.unpublish_read(i);
+    sharded.unpublish_read(htm, i);
     CHECK_EQ(sharded.readers(i), 0u);
   }
   // Distinct global indices map to distinct cells even across shard seams.
