@@ -1,11 +1,15 @@
 // Ablation A1 — global-version-clock policy (paper §2.2).
 //
-// GV6 never writes the clock on GVNext(): fast-path hardware transactions
-// that speculate on the clock stay quiet. GV1 fetch-adds it on every commit,
-// so every overlapping pair of hardware transactions conflicts on the clock
-// line; GV4 CASes once per racing batch. This bench runs the same RH1-Mixed
-// workload under all three policies on the simulated substrate and reports
-// throughput and the abort breakdown.
+// The policy governs the commits that write the clock: software commits
+// (next()) and the reduced and RH2 hardware commits (hw_next). GV6 never
+// writes it on GVNext(); GV1 fetch-adds it on every such commit (the
+// hardware ones store it in-transaction, so overlapping reduced commits
+// conflict on the clock line); GV4 CASes once per racing batch. RH1 fast
+// commits write the clock in no mode: they stamp clock + 1, and a software
+// validation abort lifts the clock past its read-version instead
+// (GlobalVersionClock::abort_step; under GV6 the on_abort bump). This bench
+// runs the same RH1-Mixed workload under all three policies on the
+// simulated substrate and reports throughput and the abort breakdown.
 
 #include "registry.h"
 #include "workloads/random_array.h"

@@ -17,7 +17,8 @@
 //  4. Numa-mode sweep (off | shard | shard+clock) at fixed remote rate:
 //     clock_publishes_per_commit is the acceptance metric — shard+clock
 //     pays a global clock write only on cross-socket validation failure,
-//     where off/GV1 pays one per software commit.
+//     where off/GV1 pays one per software commit (TL2's 1.0; RH1's fast
+//     commits write no clock in any mode, so its rows sit near 0 already).
 //  5. Per-socket thread sweep: each socket measured in isolation
 //     (Point::socket carries the geometry into BENCH_numa.json).
 //

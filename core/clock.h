@@ -1,10 +1,18 @@
 #pragma once
 
 // Global version clock (paper §2.2). The counter lives in a TmCell so that
-// hardware transactions can read (and, under GV1/GV4, advance) it inside
-// their speculation window — which is exactly what makes the clock policy
-// measurable: a policy that writes the clock makes every overlapping pair of
-// hardware transactions conflict on the clock line.
+// hardware transactions can read (and, in the reduced, RH2 and StandardHytm
+// commits under GV1/GV4, advance) it inside their speculation window —
+// which is exactly what makes the clock policy measurable: a policy that
+// writes the clock makes every overlapping pair of hardware transactions
+// conflict on the clock line.
+//
+// RH1's fast commit never writes the clock, under any mode: it loads it in
+// its hardware transaction and stamps clock + 1 (hw_peek_next), the GV6
+// argument. Such stamps can sit above the clock, so a software attempt that
+// fails validation lifts the clock past its read-version before it retries
+// (abort_step); docs/ARCHITECTURE.md §4 "The clock rule" has the soundness
+// and progress argument.
 //
 // NUMA cached mode (UniverseConfig::numa = shard+clock): GV6-style lazy
 // propagation across sockets. Each socket owns a padded cache cell that is a
@@ -61,10 +69,12 @@ class GlobalVersionClock {
   [[nodiscard]] GvMode mode() const { return mode_; }
   [[nodiscard]] bool cached() const { return !caches_.empty(); }
 
-  /// Whether hardware commits should store the clock cell inside their
-  /// speculation window. In cached mode they must not — the in-txn store is
-  /// exactly the cross-socket clock-line conflict the mode removes; stamps
-  /// at global+1 are admitted via the on_abort progress rule instead.
+  /// Whether hw_next stores the clock cell inside the hardware transaction
+  /// (the reduced, RH2 and StandardHytm commits). In cached mode it must
+  /// not — the in-txn store is exactly the cross-socket clock-line conflict
+  /// the mode removes; stamps at global+1 are admitted via the on_abort
+  /// progress rule instead. The RH1 fast commit never stores it
+  /// (hw_peek_next).
   [[nodiscard]] bool hw_writes_clock() const {
     return !cached() && mode_ != GvMode::kGv6;
   }
@@ -72,13 +82,23 @@ class GlobalVersionClock {
   /// The cell backing the counter — hardware paths subscribe through this.
   [[nodiscard]] TmCell& cell() { return cell_; }
 
-  /// Write-version for a hardware commit, inside transaction `t`: the
-  /// clock re-read in-transaction plus one (provably newer than any
-  /// concurrent software reader's read-version), stored back to the cell
-  /// when the mode writes the clock in-transaction.
+  /// Write-version for a hardware commit that leaves the clock alone (the
+  /// RH1 fast commit): the clock re-read in-transaction plus one. The load
+  /// keeps the clock in the transaction's read set, so the commit happens
+  /// while the clock still reads what it loaded: every read-version sampled
+  /// before the commit is below the stamp, every one sampled after it at or
+  /// above.
+  template <class Tx>
+  TmWord hw_peek_next(Tx& t) {
+    return t.load(cell_) + 1;
+  }
+
+  /// Write-version for the reduced, RH2 and StandardHytm hardware commits:
+  /// hw_peek_next, stored back to the cell when the mode writes the clock
+  /// in-transaction.
   template <class Tx>
   TmWord hw_next(Tx& t) {
-    const TmWord wv = t.load(cell_) + 1;
+    const TmWord wv = hw_peek_next(t);
     if (hw_writes_clock()) t.store(cell_, wv);
     return wv;
   }
@@ -142,6 +162,30 @@ class GlobalVersionClock {
     }
   }
 
+  /// The abort step of a software attempt that read at `rv`
+  /// (ThreadCtxBase::run_software). GV6 and cached mode take their on_abort
+  /// progress rule on every abort. GV1 and GV4 write nothing unless the
+  /// attempt failed validation; then the clock is lifted to rv + 1 if it
+  /// still reads <= rv, so the retry admits every fast-path stamp
+  /// (clock + 1 at most) that existed when it aborted. The lift is a CAS-max
+  /// through the substrate's nontx_cas (sim: under the commit lock, outside
+  /// every simulated commit's validate -> write-back window). A pure-TL2
+  /// validation abort finds the clock already past rv: one load, no write.
+  template <class H>
+  void abort_step(H& htm, TmWord rv, bool validation) {
+    if (cached() || mode_ == GvMode::kGv6) {
+      on_abort();
+      return;
+    }
+    if (!validation) return;
+    for (TmWord cur = htm.nontx_load(cell_); cur <= rv; cur = htm.nontx_load(cell_)) {
+      if (htm.nontx_cas(cell_, cur, rv + 1)) {
+        count_global_publish();
+        return;
+      }
+    }
+  }
+
   /// Post-commit lazy propagation (cached mode): refresh the committer's
   /// HOME socket cache from the global cell. Never lifts a cache above the
   /// global, preserving the lagging-replica invariant. No-op otherwise.
@@ -151,16 +195,17 @@ class GlobalVersionClock {
     local_publishes_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Bookkeeping hook for a hardware commit that stamped stripes: in modes
-  /// where the commit stored the clock cell in-txn that store IS a global
+  /// Bookkeeping hook for a hardware commit that stamped stripes through
+  /// hw_next: where that stored the clock cell in-txn the store IS a global
   /// publish; in cached mode the store was skipped, so propagate the home
-  /// cache instead.
+  /// cache instead. (The RH1 fast commit, which never stores the clock,
+  /// calls publish_home alone.)
   void note_hw_commit() {
     if (cached()) {
       publish_home();
       return;
     }
-    if (mode_ != GvMode::kGv6) count_global_publish();
+    if (hw_writes_clock()) count_global_publish();
   }
 
   /// Writes that hit the shared global cell (every socket pays coherence).

@@ -163,7 +163,7 @@ class HybridNorec {
   template <class Body>
   void run_software(ThreadCtx& ctx, Body& body) {
     TmCell& seq = u_.norec_seq_word();
-    ctx.run_software(ExecPath::kStm, nullptr, [&](ExecPath) -> std::optional<ExecPath> {
+    ctx.run_software(ExecPath::kStm, nullptr, [&](ExecPath, TmWord) -> std::optional<ExecPath> {
       ctx.ws_.clear();
       ctx.read_log_.clear();
       TmWord snapshot = wait_quiescent();

@@ -8,7 +8,13 @@
 // plus a note of its stripe; at the commit point the transaction re-reads
 // the clock and publishes every written stripe at clock+1, so software
 // readers serialize against fast commits through the ordinary TL2
-// validation rules. No read-set, no write buffering, no logging.
+// validation rules. No read-set, no write buffering, no logging — and no
+// clock store, under any GvMode: a clock that fast commits wrote would make
+// every pair of overlapping fast commits conflict on the clock line. The
+// clock moves through software and reduced commits instead, and through the
+// software abort step, which lifts it past a rejected read-version
+// (GlobalVersionClock::abort_step; docs/ARCHITECTURE.md §4 "The clock
+// rule").
 //
 // Slow path (kRh1Slow): a TL2-style software body (instrumented reads into
 // a ReadSet, writes buffered in a WriteSet) committed by a *reduced
@@ -159,7 +165,9 @@ class HybridTm {
     void stamp(typename H::Tx& t) { tm.fast_commit_stamp(t, ctx.fast_written_, &wv); }
     void committed() {
       if (ctx.fast_written_.empty()) return;
-      tm.u_.clock().note_hw_commit();
+      // The commit stored no clock: nothing to count as a publish. Cached
+      // mode still refreshes its home socket cache.
+      tm.u_.clock().publish_home();
       if (durable) {
         tm.durable_publish(ctx, ctx.fast_redo_, ctx.fast_written_.items(), wv,
                            pmem::kPathRh1Fast);
@@ -185,8 +193,9 @@ class HybridTm {
     run_slow(ctx, body, false);
   }
 
-  /// Commit-point publication for the fast path: fresh clock and one stamp
-  /// per distinct written stripe (stamp_write_stripes).
+  /// Commit-point publication for the fast path: one stamp at clock + 1 per
+  /// distinct written stripe (stamp_write_stripes). The clock is loaded,
+  /// never stored (hw_peek_next; the header says why).
   ///
   /// In durable mode the stamps carry the lock bit: the transaction's
   /// in-memory effects become visible at _xend, but every written stripe
@@ -196,7 +205,7 @@ class HybridTm {
   /// releases to.
   void fast_commit_stamp(typename H::Tx& t, const StripeSet& written, TmWord* wv_out) {
     if (written.empty()) return;
-    const TmWord wv = u_.clock().hw_next(t);
+    const TmWord wv = u_.clock().hw_peek_next(t);
     stamp_write_stripes(t, written.items(), StripeTable::commit_stamp(wv, u_.durable()));
     *wv_out = wv;
   }
@@ -248,10 +257,9 @@ class HybridTm {
   void run_slow(ThreadCtx& ctx, Body& body, bool rh2) {
     detail::Tl2Sets& sw = ctx.sw_;
     const ExecPath first = rh2 ? ExecPath::kRh2Slow : ExecPath::kRh1Slow;
-    ctx.run_software(first, &u_.clock(), [&](ExecPath& path) -> std::optional<ExecPath> {
+    ctx.run_software(first, &u_, [&](ExecPath& path, TmWord rv) -> std::optional<ExecPath> {
       sw.rs.clear();
       sw.ws.clear();
-      const TmWord rv = u_.clock().read();
       if (path == ExecPath::kRh1Slow) {
         detail::Tl2Handle<H> h{u_, sw.rs, sw.ws, rv};
         body(h);

@@ -160,10 +160,9 @@ struct Tl2Sets {
 template <class H, class Body>
 inline void tl2_run(TmUniverse<H>& u, ThreadCtxBase<H>& ctx, Tl2Sets& sw, Body& body,
                     bool beside_hardware) {
-  ctx.run_software(ExecPath::kStm, &u.clock(), [&](ExecPath) -> std::optional<ExecPath> {
+  ctx.run_software(ExecPath::kStm, &u, [&](ExecPath, TmWord rv) -> std::optional<ExecPath> {
     sw.rs.clear();
     sw.ws.clear();
-    const TmWord rv = u.clock().read();
     Tl2Handle<H> h{u, sw.rs, sw.ws, rv};
     body(h);
     tl2_software_commit(u, ctx, sw.rs, sw.ws, rv, sw.lock_scratch, beside_hardware);

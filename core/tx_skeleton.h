@@ -12,7 +12,8 @@
 //      - run_hardware: attempt, poison, execute, commit or abort,
 //        give_up_hardware, backoff — with hooks for the subscription, the
 //        access handle, the commit-point stamp and the post-_xend step;
-//      - run_software: attempt, run, commit or abort, backoff;
+//      - run_software: attempt, run, commit or abort (with the clock's
+//        abort step), backoff;
 //      - run_under_lock: the non-speculative lock-fallback commit.
 //  * durable_persist / write_back — the one durable
 //    log -> mark -> [publish] -> apply sequence.
@@ -194,24 +195,29 @@ class ThreadCtxBase : public Recorder {
     }
   }
 
-  /// Software attempts until one commits. `attempt(path)` runs one attempt
-  /// recorded on `path` and returns the tier that committed, or nothing
-  /// after it moved `path` down a tier (RH1 -> RH2) to re-run at once. A
-  /// StmAbort is recorded, then `clock` (the stripe protocols' version
-  /// clock; null for NOrec) takes its abort step, and the loop backs off.
+  /// Software attempts until one commits. `attempt(path, rv)` runs one
+  /// attempt recorded on `path` at read-version `rv`, and returns the tier
+  /// that committed, or nothing after it moved `path` down a tier (RH1 ->
+  /// RH2) to re-run at once. `rv` is sampled here from the version clock of
+  /// `clocked`, the universe of a stripe protocol (null for NOrec, which
+  /// has no clock: `rv` is then 0). A StmAbort is recorded, then the clock
+  /// takes its abort step at that `rv` (GlobalVersionClock::abort_step),
+  /// and the loop backs off.
   template <class Attempt>
-  void run_software(ExecPath path, GlobalVersionClock* clock, Attempt&& attempt) {
+  void run_software(ExecPath path, TmUniverse<H>* clocked, Attempt&& attempt) {
     cm_.begin_software();
     for (;;) {
       record_attempt(path);
+      const TmWord rv = clocked != nullptr ? clocked->clock().read() : 0;
       std::optional<ExecPath> tier;
       try {
-        tier = attempt(path);
+        tier = attempt(path, rv);
       } catch (const detail::StmAbort& a) {
         record_abort(a.cause);
-        if (clock != nullptr) {
-          clock->on_abort();
-          if (clock->cached()) record_clock_publish();
+        if (clocked != nullptr) {
+          GlobalVersionClock& clock = clocked->clock();
+          clock.abort_step(clocked->htm(), rv, a.cause == AbortCause::kStmValidation);
+          if (clock.cached()) record_clock_publish();
         }
         cm_.backoff_software();
         continue;

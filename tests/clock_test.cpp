@@ -1,5 +1,5 @@
-// Global version clock: per-mode semantics, monotonicity, and concurrent
-// uniqueness under GV1.
+// Global version clock: per-mode semantics, monotonicity, concurrent
+// uniqueness under GV1, and the software abort step of every mode.
 
 #include <algorithm>
 #include <atomic>
@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/clock.h"
+#include "core/htm_sim.h"
 #include "test_common.h"
 
 namespace rhtm {
@@ -67,6 +68,7 @@ void gv4_batches() {
 }
 
 void gv6_quiet() {
+  HtmSim htm;
   GlobalVersionClock clock(GvMode::kGv6);
   CHECK_EQ(clock.next(), 1u);
   CHECK_EQ(clock.next(), 1u);  // next() never writes
@@ -74,15 +76,36 @@ void gv6_quiet() {
   clock.on_abort();  // aborting readers advance the clock
   CHECK_EQ(clock.read(), 1u);
   CHECK_EQ(clock.next(), 2u);
+  clock.abort_step(htm, 0, /*validation=*/false);  // every abort cause advances
+  CHECK_EQ(clock.read(), 2u);
 }
 
-void gv1_gv4_on_abort_noop() {
-  GlobalVersionClock g1(GvMode::kGv1);
-  g1.on_abort();
-  CHECK_EQ(g1.read(), 0u);
-  GlobalVersionClock g4(GvMode::kGv4);
-  g4.on_abort();
-  CHECK_EQ(g4.read(), 0u);
+/// The GV1/GV4 abort step: a validation abort at read-version rv lifts the
+/// clock to rv + 1 only while the clock still reads <= rv, and counts that
+/// write as a global publish; an abort of any other cause, or one whose rv
+/// the clock has already passed, writes nothing. The GV6 progress rule
+/// (on_abort) stays a no-op in these modes.
+void gv1_gv4_abort_step_lifts() {
+  HtmSim htm;
+  for (const GvMode mode : {GvMode::kGv1, GvMode::kGv4}) {
+    GlobalVersionClock clock(mode);
+    clock.on_abort();
+    CHECK_EQ(clock.read(), 0u);
+    clock.abort_step(htm, 0, /*validation=*/false);
+    CHECK_EQ(clock.read(), 0u);
+    CHECK_EQ(clock.global_publishes(), 0u);
+    clock.abort_step(htm, 0, /*validation=*/true);  // clock 0 <= rv 0
+    CHECK_EQ(clock.read(), 1u);
+    CHECK_EQ(clock.global_publishes(), 1u);
+    clock.abort_step(htm, 4, /*validation=*/true);  // a stamp far above the clock
+    CHECK_EQ(clock.read(), 5u);
+    CHECK_EQ(clock.global_publishes(), 2u);
+    clock.abort_step(htm, 3, /*validation=*/true);  // clock moved past rv: no write
+    clock.abort_step(htm, 4, /*validation=*/true);
+    CHECK_EQ(clock.read(), 5u);
+    CHECK_EQ(clock.global_publishes(), 2u);
+    CHECK_EQ(clock.next(), 6u);  // software commits still advance it
+  }
 }
 
 }  // namespace
@@ -95,6 +118,6 @@ int main() {
       TestCase{"gv1_concurrent_unique", rhtm::gv1_concurrent_unique},
       TestCase{"gv4_batches", rhtm::gv4_batches},
       TestCase{"gv6_quiet", rhtm::gv6_quiet},
-      TestCase{"gv1_gv4_on_abort_noop", rhtm::gv1_gv4_on_abort_noop},
+      TestCase{"gv1_gv4_abort_step_lifts", rhtm::gv1_gv4_abort_step_lifts},
   });
 }

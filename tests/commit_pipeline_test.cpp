@@ -14,6 +14,9 @@
 //  * a non-durable universe refuses to host HybridTm contexts and contexts
 //    of a stripe-locking protocol at once, the rule that makes skipping the
 //    lock test outside RH2 sound.
+//  * the fast commit stamps clock + 1 without storing the clock, and a
+//    stamp above the clock starves no software attempt: the abort step
+//    lifts the clock past it.
 
 #include <atomic>
 #include <stdexcept>
@@ -251,6 +254,90 @@ void hand_locked_stripe_is_not_stamped_over(NumaMode numa) {
   }
 }
 
+/// The fast commit loads the clock and stamps clock + 1, but stores the
+/// clock cell under no GvMode and counts no global publish: two fast
+/// commits in a row stamp the same version.
+void fast_commit_leaves_clock(NumaMode numa) {
+  for (const GvMode mode : {GvMode::kGv1, GvMode::kGv4, GvMode::kGv6}) {
+    UniverseConfig ucfg;
+    ucfg.gv_mode = mode;
+    TmUniverse<HtmSim> u(with_numa(ucfg, numa));
+    HybridTm<HtmSim>::Config cfg;
+    cfg.slow_retry_percent = 0;  // fast path only
+    HybridTm<HtmSim> tm(u, cfg);
+    HybridTm<HtmSim>::ThreadCtx ctx(tm);
+    u.htm().nontx_store(u.clock().cell(), 7);
+    TVar<TmWord> a(1);
+    TVar<TmWord> b(2);
+    tm.atomically(ctx, [&](auto& tx) { a.write(tx, b.read(tx) + 1); });
+    tm.atomically(ctx, [&](auto& tx) { b.write(tx, a.read(tx) + 1); });
+    CHECK_EQ(commits_on(ctx.stats, ExecPath::kRh1Fast), 2u);
+    CHECK_EQ(a.unsafe_read(), 3u);
+    CHECK_EQ(b.unsafe_read(), 4u);
+    CHECK_EQ(u.clock().read(), 7u);
+    CHECK_EQ(u.clock().global_publishes(), 0u);
+    for (const TVar<TmWord>* v : {&a, &b}) {
+      const TmWord w = u.stripes().word(u.stripes().index_of(&v->cell())).unsafe_load();
+      CHECK(!StripeTable::is_locked(w));
+      CHECK_EQ(StripeTable::version_of(w), 8u);
+    }
+  }
+}
+
+/// Thrown by a transaction body past its invocation budget, so a software
+/// retry loop that never commits fails the test instead of hanging it.
+struct NoProgress {};
+constexpr unsigned kMaxBodyCalls = 64;
+
+/// A stripe stamped above the clock — what a fast commit leaves (clock +
+/// 1), or, further up, what emul leaves when its non-atomic clock update
+/// falls back — must not starve the software paths: the abort step lifts
+/// the clock past each rejected read-version. A write-only RH2 transaction,
+/// whose commit rejects the stamp without running a read barrier, and a
+/// slow-path reader each commit within kMaxBodyCalls body invocations.
+void stamp_above_clock_is_admitted(NumaMode numa) {
+  for (const TmWord ahead : {TmWord{1}, TmWord{8}}) {
+    TmUniverse<HtmSim> u(with_numa(UniverseConfig{}, numa));
+    StripeTable& st = u.stripes();
+    TVar<TmWord> cell(1);
+    const std::size_t s = st.index_of(&cell.cell());
+    const auto stamp_ahead = [&] { st.unlock_to(s, u.clock().read() + ahead); };
+    HybridTm<HtmSim>::Config writer_cfg;
+    writer_cfg.force_rh2 = true;
+    HybridTm<HtmSim>::Config reader_cfg;
+    reader_cfg.force_slow_path = true;
+    HybridTm<HtmSim> writer(u, writer_cfg);
+    HybridTm<HtmSim> reader(u, reader_cfg);
+    HybridTm<HtmSim>::ThreadCtx wctx(writer);
+    HybridTm<HtmSim>::ThreadCtx rctx(reader);
+    unsigned calls = 0;
+    const auto count_call = [&] {
+      if (++calls > kMaxBodyCalls) throw NoProgress{};
+    };
+    try {
+      stamp_ahead();
+      writer.atomically(wctx, [&](auto& tx) {
+        count_call();
+        cell.write(tx, 2);
+      });
+      CHECK_EQ(commits_on(wctx.stats, ExecPath::kRh2Slow), 1u);
+      CHECK_EQ(cell.unsafe_read(), 2u);
+      calls = 0;
+      stamp_ahead();
+      TmWord seen = 0;
+      reader.atomically(rctx, [&](auto& tx) {
+        count_call();
+        seen = cell.read(tx);
+      });
+      CHECK_EQ(commits_on(rctx.stats, ExecPath::kRh1Slow), 1u);
+      CHECK_EQ(seen, 2u);
+    } catch (const NoProgress&) {
+      CHECK(false && "no commit within kMaxBodyCalls body invocations");
+    }
+    CHECK_EQ(writer.rh2_active(), 0u);
+  }
+}
+
 /// True when constructing a thread context of `tm` throws the stripe-lock
 /// rule's std::logic_error.
 template <class Tm>
@@ -337,6 +424,14 @@ int main() {
                [] { rhtm::hand_locked_stripe_is_not_stamped_over(NumaMode::kOff); }},
       TestCase{"hand_locked_stripe_is_not_stamped_over_numa_shard",
                [] { rhtm::hand_locked_stripe_is_not_stamped_over(NumaMode::kShard); }},
+      TestCase{"fast_commit_leaves_clock",
+               [] { rhtm::fast_commit_leaves_clock(NumaMode::kOff); }},
+      TestCase{"fast_commit_leaves_clock_numa_shard",
+               [] { rhtm::fast_commit_leaves_clock(NumaMode::kShard); }},
+      TestCase{"stamp_above_clock_is_admitted",
+               [] { rhtm::stamp_above_clock_is_admitted(NumaMode::kOff); }},
+      TestCase{"stamp_above_clock_is_admitted_numa_shard",
+               [] { rhtm::stamp_above_clock_is_admitted(NumaMode::kShard); }},
       TestCase{"stripe_lock_rule_is_enforced", rhtm::stripe_lock_rule_is_enforced},
   });
 }
