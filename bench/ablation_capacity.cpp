@@ -40,7 +40,7 @@ RHTM_SCENARIO(ablation_capacity, "§1.2 (A3)",
   report::TableData& table = rep.add_table(
       "Ablation A3 - slow-path capacity headroom (HTM budget=" + std::to_string(kCapacity) +
           " entries, stripes of 4 words, sim)",
-      report::TableStyle::kWide, "tx_words", "fast_pct");
+      report::TableStyle::kWide, "tx_words", "fast_pct", report::Better::kNone);
   report::SeriesData& series = table.add_series("RH1-Mix100");
 
   for (const std::size_t len : {32ul, 96ul, 160ul, 320ul, 480ul, 640ul, 1280ul, 2560ul}) {

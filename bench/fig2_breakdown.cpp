@@ -134,7 +134,8 @@ void run_breakdowns(const Options& opt, report::BenchReport& rep, ConstantRbTree
   report::TableData& table = rep.add_table(
       "Figure 2 - single-thread breakdown, RB-Tree " + std::to_string(write_percent) +
           "% mutations (substrate=" + opt.substrate_name() + ")",
-      report::TableStyle::kWide, "write_percent", "speedup_vs_tl2");
+      report::TableStyle::kWide, "write_percent", "speedup_vs_tl2",
+      report::Better::kNone);
   for (std::size_t i = 0; i < n; ++i) {
     const BreakdownResult& b = rows[i].breakdown;
     report::Point& p = table.add_series(rows[i].name).add_point(write_percent);

@@ -26,7 +26,7 @@ void run_fig3_array(const Options& opt, report::BenchReport& rep) {
   report::TableData& table = rep.add_table(
       "Figure 3 right - 128K Random Array, RH1-Fast speedup vs Standard HyTM, " +
           std::to_string(threads) + " threads (substrate=" + opt.substrate_name() + ")",
-      report::TableStyle::kSweep, "write_percent", "speedup");
+      report::TableStyle::kSweep, "write_percent", "speedup", report::Better::kNone);
   for (const unsigned len : kLengths) table.add_series("len" + std::to_string(len));
 
   for (const unsigned write_pct : kWritePercents) {

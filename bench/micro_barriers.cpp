@@ -113,10 +113,11 @@ RHTM_SCENARIO(micro_barriers, "—",
   rep.set_meta("accesses_per_tx", std::to_string(kAccesses));
   report::TableData& reads =
       rep.add_table("Microbench - per-access read barrier cost of each protocol's fast path (emul)",
-                    report::TableStyle::kWide, "accesses", "read_ns_per_access");
+                    report::TableStyle::kWide, "accesses", "read_ns_per_access",
+                    report::Better::kNone);
   report::TableData& writes = rep.add_table(
       "Microbench - per-access write barrier cost of each protocol's fast path (emul)",
-      report::TableStyle::kWide, "accesses", "write_ns_per_access");
+      report::TableStyle::kWide, "accesses", "write_ns_per_access", report::Better::kNone);
   protocol_rows<EmulHtmOnly>(opt, reads, writes, "HTM");
   protocol_rows<EmulHybridTm>(opt, reads, writes, "RH1-Fast");
   protocol_rows<EmulStandardHytm>(opt, reads, writes, "StandardHyTM");
@@ -124,7 +125,7 @@ RHTM_SCENARIO(micro_barriers, "—",
 
   report::TableData& overhead =
       rep.add_table("Microbench - trace recorder overhead (emul, read path)",
-                    report::TableStyle::kWide, "accesses", "overhead_pct");
+                    report::TableStyle::kWide, "accesses", "overhead_pct", report::Better::kNone);
   tracing_row<EmulHtmOnly>(opt, overhead, "HTM");
   tracing_row<EmulHybridTm>(opt, overhead, "RH1-Fast");
   tracing_row<EmulTl2>(opt, overhead, "TL2");

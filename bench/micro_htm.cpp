@@ -100,7 +100,7 @@ RHTM_SCENARIO(micro_htm, "— (A5)",
   rep.substrate = kMixedSubstrateName;
   report::TableData& table =
       rep.add_table("Microbench A5 - substrate and container primitive costs",
-                    report::TableStyle::kWide, "size", "ns_per_call");
+                    report::TableStyle::kWide, "size", "ns_per_call", report::Better::kNone);
 
   for_each_available_substrate(
       [&]<class H>(SubstrateTag<H>) { substrate_primitives<H>(table, opt); });

@@ -130,7 +130,7 @@ void run_commit_path(const Options& opt, report::BenchReport& rep) {
       "Commit-path cost vs write-set size (2W zipfian re-reads, HTM budget=" +
           std::to_string(kHtmBudget) + " entries, 1 thread, substrate=" +
           std::string(opt.substrate_name()) + ")",
-      report::TableStyle::kWide, "writes", "commit_ns");
+      report::TableStyle::kWide, "writes", "commit_ns", report::Better::kNone);
   report::SeriesData& tl2_series = lat.add_series("TL2");
   report::SeriesData& rh1_series = lat.add_series("RH1-Slow");
   report::SeriesData& rh2_series = lat.add_series("RH2");
@@ -158,7 +158,7 @@ void run_commit_path(const Options& opt, report::BenchReport& rep) {
   report::TableData& thr = rep.add_table(
       "Commit-path throughput vs write-set size (" + std::to_string(kSweepThreads) +
           " threads, substrate=" + std::string(opt.substrate_name()) + ")",
-      report::TableStyle::kSweep, "writes", "total_ops");
+      report::TableStyle::kSweep, "writes");
   report::SeriesData& thr_tl2 = thr.add_series("TL2");
   report::SeriesData& thr_fast = thr.add_series("RH1-Fast");
   report::SeriesData& thr_mix = thr.add_series("RH1-Mix100");

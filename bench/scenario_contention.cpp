@@ -62,12 +62,12 @@ constexpr std::size_t kMatrixSize = sizeof(kMatrix) / sizeof(kMatrix[0]);
 
 /// Companion view of a throughput table with wasted_speculation_pct as the
 /// PRIMARY metric: same series, same points — this is what makes wasted
-/// work visible to the regression gate (scripts/check_regression.py gates a
-/// table by its primary metric, lower-is-better for this one).
+/// work visible to the regression gate, which reads the table's Better::kLower
+/// and flags a rising ratio.
 void add_wasted_view(report::BenchReport& rep, const report::TableData& src) {
   report::TableData& t =
       rep.add_table("Wasted speculation pct - " + src.title, report::TableStyle::kSweep,
-                    src.x_name, "wasted_speculation_pct");
+                    src.x_name, "wasted_speculation_pct", report::Better::kLower);
   t.series = src.series;
 }
 

@@ -7,8 +7,8 @@
 //  1. Durable KV transfer throughput vs threads (AccountStore transfers —
 //     2 reads + 2 writes per committed transfer).
 //  2. The same runs re-keyed on fences_per_commit — the gate-visible
-//     persistence-cost axis (lower is better: scripts/check_regression.py
-//     flags a *rising* RH1-Fast/TL2 fence ratio). The fence arithmetic is
+//     persistence-cost axis (the table is marked Better::kLower, so the
+//     regression gate flags a *rising* RH1-Fast/TL2 fence ratio). The fence arithmetic is
 //     path-independent by design (tests/durable_mode_test.cpp pins
 //     pwb = 2n+2, pfence = 2, psync = 1 per n-entry durable commit), so
 //     this ratio should sit at ~1.0: RH1's reduced hardware commit buys its
@@ -154,11 +154,11 @@ void run_durable_scenario(const Options& opt, report::BenchReport& rep,
   report::TableData& kv = rep.add_table(
       "Durable KV transfer throughput vs threads (" + std::to_string(kAccounts) +
           " accounts, redo-logged commits, substrate=" + substrate + ")",
-      report::TableStyle::kSweep, "threads", "total_ops");
+      report::TableStyle::kSweep);
   report::TableData& fences = rep.add_table(
       "Durable fence cost per commit, KV transfers (pwb+pfence+psync, substrate=" +
           substrate + ")",
-      report::TableStyle::kSweep, "threads", "fences_per_commit");
+      report::TableStyle::kSweep, "threads", "fences_per_commit", report::Better::kLower);
   for (const Series s : kDurableSeries) {
     kv.add_series(to_string(s));
     fences.add_series(to_string(s));
@@ -172,7 +172,7 @@ void run_durable_scenario(const Options& opt, report::BenchReport& rep,
       "Durable MPMC queue throughput vs threads (capacity " +
           std::to_string(queue_capacity) + ", 1:1 producers:consumers, substrate=" +
           substrate + ")",
-      report::TableStyle::kSweep, "threads", "total_ops");
+      report::TableStyle::kSweep);
   for (const Series s : kDurableSeries) q.add_series(to_string(s));
   for (const unsigned threads : opt.threads) {
     queue.unsafe_reset(queue_capacity / 2);

@@ -7,9 +7,9 @@
 //  1. Compact-vs-scatter throughput per protocol (the headline table: the
 //     same workload with all threads on one socket vs spread across all).
 //  2. The same runs re-keyed as cross_socket_penalty = compact_ops /
-//     scatter_ops — the gate-visible lower-is-better ratio (1.0 = placement
-//     does not matter; scripts/check_regression.py flags a *rising*
-//     RH1-Fast/TL2 penalty ratio).
+//     scatter_ops — the gate-visible ratio (1.0 = placement does not
+//     matter; the table is marked Better::kLower, so the regression gate
+//     flags a *rising* RH1-Fast/TL2 penalty ratio).
 //  3. Cross-socket transfer-rate sweep on account_store: accounts are
 //     partitioned per socket, scatter-placed workers draw the destination
 //     from a remote partition with probability x% — the knob that dials
@@ -157,11 +157,11 @@ void run_numa_scenario(const Options& opt, report::BenchReport& rep, const Topol
   report::TableData& placement = rep.add_table(
       "Compact vs scatter placement, socket-partitioned transfers (50% remote, numa=" +
           numa_name + ", substrate=" + substrate + ")",
-      report::TableStyle::kSweep, "threads", "total_ops");
+      report::TableStyle::kSweep);
   report::TableData& penalty = rep.add_table(
       "Cross-socket placement penalty (compact_ops/scatter_ops, lower is better, numa=" +
           numa_name + ")",
-      report::TableStyle::kSweep, "threads", "cross_socket_penalty");
+      report::TableStyle::kSweep, "threads", "cross_socket_penalty", report::Better::kLower);
   for (const Series s : kNumaSeries) {
     placement.add_series(std::string(to_string(s)) + "/compact");
     placement.add_series(std::string(to_string(s)) + "/scatter");
@@ -192,7 +192,7 @@ void run_numa_scenario(const Options& opt, report::BenchReport& rep, const Topol
   report::TableData& remote = rep.add_table(
       "Cross-socket transfer-rate sweep, scatter placement (threads=" +
           std::to_string(sweep_threads) + ", numa=" + numa_name + ")",
-      report::TableStyle::kSweep, "remote_pct", "total_ops");
+      report::TableStyle::kSweep, "remote_pct");
   for (const Series s : kNumaSeries) remote.add_series(to_string(s));
   for (const unsigned pct : {0u, 25u, 50u, 100u}) {
     std::size_t row = 0;
@@ -207,7 +207,8 @@ void run_numa_scenario(const Options& opt, report::BenchReport& rep, const Topol
   report::TableData& modes = rep.add_table(
       "Numa-mode sweep: clock publishes per commit (x: 0=off 1=shard 2=shard+clock, "
       "scatter, 50% remote, threads=" + std::to_string(sweep_threads) + ")",
-      report::TableStyle::kSweep, "numa_mode", "clock_publishes_per_commit");
+      report::TableStyle::kSweep, "numa_mode", "clock_publishes_per_commit",
+      report::Better::kNone);
   for (const Series s : kNumaSeries) modes.add_series(to_string(s));
   for (std::size_t m = 0; m < 3; ++m) {
     std::size_t row = 0;
@@ -221,7 +222,7 @@ void run_numa_scenario(const Options& opt, report::BenchReport& rep, const Topol
   // -- table 5: per-socket thread sweep (Point::socket geometry) -----------
   report::TableData& per_socket = rep.add_table(
       "Per-socket thread sweep, socket-local transfers (numa=" + numa_name + ")",
-      report::TableStyle::kSweep, "threads", "total_ops");
+      report::TableStyle::kSweep);
   const unsigned socket_threads[] = {1, 2};
   for (unsigned s = 0; s < topo.socket_count(); ++s) {
     for (const Series series : kNumaSeries) {

@@ -69,9 +69,9 @@ void run_phased_scenario(const Options& opt, report::BenchReport& rep, std::size
   const std::uint32_t inject_bp =
       AbortInjector::from_ratio(tl2_result.total().abort_ratio()).rate_bp();
 
-  // Primary metrics mirror total_ops under scenario-specific names, which
-  // keeps BOTH tables out of the CI regression gate (it only gates
-  // total_ops/ops_per_sec tables): a phased run's series totals depend on
+  // Primary metrics mirror total_ops under scenario-specific names, and
+  // BOTH tables carry Better::kNone, which keeps them out of the CI
+  // regression gate: a phased run's series totals depend on
   // how many ms-scale snapshot transactions each phase window happened to
   // fit, so the gate's ratios-cancel-runner-noise assumption does not hold
   // at smoke timescales (observed >3x run-to-run ratio swings). The phased
@@ -79,10 +79,10 @@ void run_phased_scenario(const Options& opt, report::BenchReport& rep, std::size
   report::TableData& per_phase = rep.add_table(
       "Phased run (read_mostly -> write_burst -> snapshot) at " + std::to_string(threads) +
       " threads, per-phase rows (substrate=" + std::string(opt.substrate_name()) + ")",
-      report::TableStyle::kSweep, "phase", "phase_total_ops");
+      report::TableStyle::kSweep, "phase", "phase_total_ops", report::Better::kNone);
   report::TableData& totals = rep.add_table(
       "Phased run, whole-schedule totals (same runs as the per-phase table)",
-      report::TableStyle::kSweep, "threads", "schedule_total_ops");
+      report::TableStyle::kSweep, "threads", "schedule_total_ops", report::Better::kNone);
 
   for (const Series s : all_series()) {
     const PhasedResult result =

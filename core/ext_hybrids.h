@@ -29,15 +29,15 @@ class HybridNorec {
  public:
   struct Config {
     std::uint32_t inject_abort_bp = 0;
-    unsigned max_hw_attempts = 8;
-    unsigned capacity_retries = 2;
+    unsigned max_hw_attempts = 8;  ///< 0: every transaction runs in software
   };
+  static constexpr unsigned kCapacityRetries = 2;
 
   class ThreadCtx : public ThreadCtxBase<H> {
    public:
     explicit ThreadCtx(HybridNorec& tm)
         : ThreadCtxBase<H>(tm.u_, ContentionManager::Limits{0, tm.cfg_.max_hw_attempts,
-                                                            tm.cfg_.capacity_retries}) {}
+                                                            kCapacityRetries}) {}
 
    private:
     friend class HybridNorec;
@@ -218,16 +218,14 @@ class PhasedTm {
  public:
   struct Config {
     std::uint32_t inject_abort_bp = 0;
-    unsigned max_hw_attempts = 8;
-    unsigned capacity_retries = 2;
   };
+  static constexpr unsigned kMaxHwAttempts = 8;
+  static constexpr unsigned kCapacityRetries = 2;
 
   class ThreadCtx : public ThreadCtxBase<H> {
    public:
     explicit ThreadCtx(PhasedTm& tm)
-        : ThreadCtxBase<H>(tm.u_,
-                           ContentionManager::Limits{0, tm.cfg_.max_hw_attempts,
-                                                     tm.cfg_.capacity_retries},
+        : ThreadCtxBase<H>(tm.u_, ContentionManager::Limits{0, kMaxHwAttempts, kCapacityRetries},
                            StripeLockUse::kLocker) {}
 
    private:
@@ -264,7 +262,7 @@ class PhasedTm {
     // hardware handle captures no redo, so its commits could not be logged.
     // (HybridTm's fast path shows what a durable hardware phase costs; the
     // phased design's whole point is zero instrumentation, so it opts out.)
-    if (!u_.durable() && cfg_.max_hw_attempts > 0 && !ctx.cm().start_in_software() &&
+    if (!u_.durable() && !ctx.cm().start_in_software() &&
         ctx.run_hardware(u_.htm(), injector_, ExecPath::kHtm, Hooks{{}, u_}, body)) {
       return;
     }

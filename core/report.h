@@ -21,6 +21,7 @@
 //         "style": "sweep" | "wide",
 //         "x": "threads",
 //         "primary_metric": "total_ops",
+//         "better": "higher" | "lower",  // absent: the gate skips the table
 //         "series": [
 //           { "name": "HTM",
 //             "points": [ { "x": 1, "metrics": { "total_ops": 123, ... } } ] }
@@ -136,6 +137,11 @@ struct SeriesData {
   }
 };
 
+/// Which way the table's primary metric improves. The regression gate
+/// (scripts/check_regression.py) reads it from the report; kNone (no JSON
+/// field) keeps the table out of the gate.
+enum class Better { kNone, kHigher, kLower };
+
 /// How the human rendering lays the table out. The JSON is identical.
 enum class TableStyle {
   kSweep,  ///< rows = x values, one column per series, cell = primary metric
@@ -146,6 +152,7 @@ struct TableData {
   std::string title;
   std::string x_name = "threads";
   std::string primary_metric = "total_ops";
+  Better better = Better::kHigher;
   TableStyle style = TableStyle::kSweep;
   // Deque, not vector: scenarios hold the SeriesData& returned by
   // add_series while registering further series, so references must
@@ -281,15 +288,22 @@ struct BenchReport {
   /// field at all, so the schema stays byte-compatible with older readers.
   std::vector<Point> timeline;
 
+  /// A total_ops table, gated higher-is-better.
   TableData& add_table(std::string title, TableStyle style = TableStyle::kSweep,
-                       std::string x_name = "threads",
-                       std::string primary_metric = "total_ops") {
+                       std::string x_name = "threads") {
+    return add_table(std::move(title), style, std::move(x_name), "total_ops", Better::kHigher);
+  }
+
+  /// A table that names its primary metric also says which way it improves.
+  TableData& add_table(std::string title, TableStyle style, std::string x_name,
+                       std::string primary_metric, Better better) {
     tables.emplace_back();
     TableData& t = tables.back();
     t.title = std::move(title);
     t.style = style;
     t.x_name = std::move(x_name);
     t.primary_metric = std::move(primary_metric);
+    t.better = better;
     return t;
   }
 
@@ -362,6 +376,10 @@ struct BenchReport {
       json_escape(out, table.x_name);
       out += ",\n      \"primary_metric\": ";
       json_escape(out, table.primary_metric);
+      if (table.better != Better::kNone) {
+        out += ",\n      \"better\": ";
+        json_escape(out, table.better == Better::kHigher ? "higher" : "lower");
+      }
       out += ",\n      \"series\": [";
       for (std::size_t s = 0; s < table.series.size(); ++s) {
         const SeriesData& series = table.series[s];

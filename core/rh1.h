@@ -76,16 +76,16 @@ class HybridTm {
     unsigned slow_retry_percent = 100;  ///< Mixed-N: % of aborts retried in software
     bool force_slow_path = false;       ///< breakdown bench: software body + HTM commit
     bool force_rh2 = false;             ///< ablation A4: visible-read slow mode
-    unsigned commit_retries = 8;        ///< reduced-commit conflict retries
-    unsigned capacity_retries = 2;      ///< fast-path capacity aborts before fallback
   };
+  static constexpr unsigned kCommitRetries = 8;    ///< reduced-commit conflict retries
+  static constexpr unsigned kCapacityRetries = 2;  ///< fast-path capacity aborts before fallback
 
   class ThreadCtx : public ThreadCtxBase<H> {
    public:
     explicit ThreadCtx(HybridTm& tm)
         : ThreadCtxBase<H>(tm.u_,
                            ContentionManager::Limits{tm.cfg_.slow_retry_percent, 0,
-                                                     tm.cfg_.capacity_retries},
+                                                     kCapacityRetries},
                            StripeLockUse::kHybrid) {}
 
    private:
@@ -341,7 +341,7 @@ class HybridTm {
         ctx.record_abort(AbortCause::kHtmCapacity);
         return false;
       }
-      if (out.status == HtmStatus::kExplicit || ++tries >= cfg_.commit_retries) {
+      if (out.status == HtmStatus::kExplicit || ++tries >= kCommitRetries) {
         throw detail::StmAbort{AbortCause::kStmValidation};
       }
       ctx.cm().backoff_commit(tries);
@@ -388,7 +388,7 @@ class HybridTm {
         return ExecPath::kRh2Slow;
       }
       if (out.status == HtmStatus::kExplicit) throw detail::StmAbort{AbortCause::kStmValidation};
-      if (out.status == HtmStatus::kCapacity || ++tries >= cfg_.commit_retries) {
+      if (out.status == HtmStatus::kCapacity || ++tries >= kCommitRetries) {
         if (out.status == HtmStatus::kCapacity) {
           // Same observability rule as the reduced commit: the hardware
           // commit overflowed, and escalation must be visible in reports

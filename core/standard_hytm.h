@@ -24,17 +24,17 @@ class StandardHytm {
   struct Config {
     bool hardware_only = false;
     std::uint32_t inject_abort_bp = 0;
-    unsigned max_hw_attempts = 8;   ///< before falling back to software
-    unsigned capacity_retries = 2;  ///< capacity aborts before giving up on HW
   };
+  static constexpr unsigned kMaxHwAttempts = 8;    ///< before falling back to software
+  static constexpr unsigned kCapacityRetries = 2;  ///< capacity aborts before giving up on HW
 
   class ThreadCtx : public ThreadCtxBase<H> {
    public:
     explicit ThreadCtx(StandardHytm& tm)
         : ThreadCtxBase<H>(
               tm.u_,
-              ContentionManager::Limits{0, tm.cfg_.hardware_only ? 0 : tm.cfg_.max_hw_attempts,
-                                        tm.cfg_.capacity_retries},
+              ContentionManager::Limits{0, tm.cfg_.hardware_only ? 0 : kMaxHwAttempts,
+                                        kCapacityRetries},
               // hardware_only never reaches the TL2 fallback outside a
               // durable universe.
               tm.cfg_.hardware_only ? StripeLockUse::kNone : StripeLockUse::kLocker) {}
@@ -101,8 +101,7 @@ class StandardHytm {
     // its write-back); the instrumented hardware handle has no redo capture
     // and the baseline's contract is not worth complicating — the durable
     // hardware commit story is HybridTm's (core/rh1.h).
-    if (!u_.durable() && (cfg_.hardware_only || cfg_.max_hw_attempts > 0) &&
-        !ctx.cm().start_in_software() &&
+    if (!u_.durable() && !ctx.cm().start_in_software() &&
         ctx.run_hardware(u_.htm(), injector_, ExecPath::kHtm, Hooks{*this, ctx.hw_written_},
                          body)) {
       return;

@@ -3,17 +3,19 @@
 
 Compares the *ratio of two series* (default: RH1-Fast / TL2) per
 (scenario, table, x) between a baseline run and a fresh run, and fails when
-the fresh ratio has regressed by more than --threshold (default 25%). The
-gate is direction-aware: throughput-shaped primary metrics regress when the
-ratio drops, latency-shaped ones (p50_us/p99_us/p999_us) when it rises.
-Ratios between series measured in the same process are robust to runner
-noise where absolute ops/sec are not — both series speed up or slow down
-together on a cold/hot runner, their quotient does not (see
-docs/BENCHMARKS.md, "Diffing two runs").
+the fresh ratio has moved the bad way by more than THRESHOLD (25%). Each
+table says which way is bad: its "better" field ("higher" or "lower") names
+the direction in which its primary metric improves. The gate reads that
+field from the FRESH report, so a baseline written before the field existed
+still gates; a fresh table without it is not gated, visibly. Ratios between
+series measured in the same process are robust to runner noise where
+absolute ops/sec are not — both series speed up or slow down together on a
+cold/hot runner, their quotient does not (see docs/BENCHMARKS.md, "Diffing
+two runs").
 
 Usage:
     check_regression.py OLD_DIR NEW_DIR [--numerator RH1-Fast]
-                        [--denominator TL2] [--threshold 0.25]
+                        [--denominator TL2]
     check_regression.py --self-test
 
 Exit status: 0 = no gated regression (including "nothing comparable", e.g.
@@ -23,10 +25,17 @@ threshold; 2 = usage error.
 
 import argparse
 import glob
+import io
 import json
 import os
 import sys
 import tempfile
+
+# A ratio regresses when it falls below (1 - THRESHOLD) of its baseline for a
+# higher-is-better table, or rises past 1 / (1 - THRESHOLD) for a
+# lower-is-better one, so the gate is symmetric either way.
+THRESHOLD = 0.25
+DIRECTIONS = ("higher", "lower")
 
 
 def series_points(table, name):
@@ -42,42 +51,12 @@ def series_points(table, name):
     return None
 
 
-# The gate is direction-aware: a table's primary metric decides which way a
-# ratio move counts as a regression. Throughput-shaped metrics regress when
-# the ratio DROPS; latency-shaped metrics (the service scenario's open-loop
-# tail percentiles) and cost-shaped metrics (the durable scenario's
-# fences-per-commit persistence cost) regress when the ratio RISES — a
-# cheaper RH1 tail or fence bill must never fail the gate. A primary metric
-# in neither set has no known direction and its table is skipped, but
-# VISIBLY (an info line per table), never silently.
-GATED_HIGHER_IS_BETTER = {"total_ops", "ops_per_sec", "achieved_per_sec"}
-GATED_LOWER_IS_BETTER = {
-    "p50_us",
-    "p90_us",
-    "p99_us",
-    "p999_us",
-    "fences_per_commit",
-    "wasted_speculation_pct",
-    "cross_socket_penalty",
-}
-
-
-def metric_direction(metric):
-    """'higher' / 'lower' for gateable metrics, None for unknown direction."""
-    if metric in GATED_HIGHER_IS_BETTER:
-        return "higher"
-    if metric in GATED_LOWER_IS_BETTER:
-        return "lower"
-    return None
-
-
-def ratios(report, numerator, denominator):
-    """[(table-title, x, num/den, direction)] for every x where both series
-    have data, over tables whose primary metric has a known direction."""
-    out = []
+def ratios(report, titles, numerator, denominator):
+    """{(title, x): num/den} over the report's tables named in `titles`, for
+    every x where both series have positive data, in table then x order."""
+    out = {}
     for table in report.get("tables", []):
-        direction = metric_direction(table.get("primary_metric"))
-        if direction is None:
+        if table["title"] not in titles:
             continue
         num = series_points(table, numerator)
         den = series_points(table, denominator)
@@ -85,555 +64,231 @@ def ratios(report, numerator, denominator):
             continue
         for x in sorted(num.keys() & den.keys(), key=str):
             if den[x] > 0 and num[x] > 0:
-                out.append((table["title"], x, num[x] / den[x], direction))
+                out[(table["title"], x)] = num[x] / den[x]
     return out
 
 
-def gateable_titles(report):
-    """Titles of the tables the gate would look at (known-direction metric)."""
-    return {
-        t["title"]
-        for t in report.get("tables", [])
-        if metric_direction(t.get("primary_metric")) is not None
-    }
+class Verdict:
+    """What one comparison found: the gated point count, the (report, title)
+    pairs that contributed points, the regressions, and the single point
+    whose ratio moved furthest the bad way, as (severity, report, title, x,
+    change) where severity > 1 means movement toward regression."""
+
+    def __init__(self):
+        self.points = 0
+        self.tables = set()
+        self.regressions = []
+        self.worst = None
+
+    def line(self):
+        """The machine-greppable one-line verdict the CI log ends on."""
+        worst_txt = "no movement"
+        if self.worst is not None:
+            _, name, title, x, change = self.worst
+            worst_txt = f"worst {change:.2f}x at {name} | {title} | x={x}"
+        verdict = (
+            f"FAIL ({len(self.regressions)} regression(s))" if self.regressions else "PASS"
+        )
+        return (
+            f"summary: {self.points} points across {len(self.tables)} "
+            f"tables gated; {worst_txt}; {verdict}"
+        )
 
 
-def compare(old_dir, new_dir, numerator, denominator, threshold, out=sys.stdout,
-            summary=None):
-    """Returns (compared, regressions): point counts across all reports.
+def compare(old_dir, new_dir, numerator, denominator, out=sys.stdout):
+    """Gates every report both directories hold and returns a Verdict.
 
-    Reports or gateable tables present in only one of {baseline, current}
-    are surfaced as explicit "new"/"removed" info lines — a new scenario is
-    visibly ungated until its first baseline lands, it never silently
-    dodges the gate; a vanished one is visible too.
-
-    When `summary` is a dict it is filled in with the material for the
-    one-line end verdict: "points" (gated point count), "tables" (the set of
-    (report, table-title) pairs that contributed points) and "worst" — the
-    single point whose ratio moved furthest in its table's BAD direction,
-    as (severity, report, title, x, change) where severity > 1 means
-    movement toward regression and the threshold trips at
-    severity > 1/(1-threshold).
+    Reports, gated tables and points present in only one of {baseline,
+    fresh} surface as explicit info lines: a new scenario is visibly ungated
+    until its first baseline lands, it never silently dodges the gate; a
+    vanished one is visible too.
     """
-    compared = 0
-    regressions = []
-    gated_tables = set()
-    worst = None
-    new_names = {
-        os.path.basename(p) for p in glob.glob(os.path.join(new_dir, "BENCH_*.json"))
-    }
-    old_names = {
-        os.path.basename(p) for p in glob.glob(os.path.join(old_dir, "BENCH_*.json"))
-    }
+    verdict = Verdict()
+
+    def names(d):
+        return {os.path.basename(p) for p in glob.glob(os.path.join(d, "BENCH_*.json"))}
+
+    def say(*parts):
+        print("  " + " | ".join(str(p) for p in parts), file=out)
+
+    new_names = names(new_dir)
+    old_names = names(old_dir)
     for name in sorted(old_names - new_names):
-        print(f"  {name}: removed (present in baseline only, nothing to gate)", file=out)
+        say(f"{name}: removed (present in baseline only, nothing to gate)")
     for name in sorted(new_names):
-        new_path = os.path.join(new_dir, name)
-        old_path = os.path.join(old_dir, name)
-        if not os.path.exists(old_path):
-            print(f"  {name}: new report (no baseline yet, ungated this run)", file=out)
+        if name not in old_names:
+            say(f"{name}: new report (no baseline yet, ungated this run)")
             continue
-        with open(old_path) as f:
+        with open(os.path.join(old_dir, name)) as f:
             old_report = json.load(f)
-        with open(new_path) as f:
+        with open(os.path.join(new_dir, name)) as f:
             new_report = json.load(f)
-        old_titles = gateable_titles(old_report)
-        new_titles = gateable_titles(new_report)
+        direction = {}
         for t in new_report.get("tables", []):
-            metric = t.get("primary_metric")
-            if metric_direction(metric) is None:
-                print(
-                    f"  {name} | {t.get('title')}: primary metric '{metric}' "
-                    f"has no gating direction; table not gated",
-                    file=out,
-                )
-        for title in sorted(new_titles - old_titles):
-            print(f"  {name} | {title}: new table (no baseline yet, ungated this run)",
-                  file=out)
+            if t.get("better") in DIRECTIONS:
+                direction[t["title"]] = t["better"]
+            else:
+                say(name, f"{t['title']}: no \"better\" direction for primary metric "
+                          f"'{t['primary_metric']}'; table not gated")
+        old_titles = {t["title"] for t in old_report.get("tables", [])}
+        new_titles = {t["title"] for t in new_report.get("tables", [])}
+        for title in sorted(direction.keys() - old_titles):
+            say(name, f"{title}: new table (no baseline yet, ungated this run)")
         for title in sorted(old_titles - new_titles):
-            print(f"  {name} | {title}: table removed (present in baseline only)", file=out)
-        old_ratios = {
-            (t, x): r for t, x, r, _ in ratios(old_report, numerator, denominator)
-        }
-        new_keys = set()
-        for title, x, new_ratio, direction in ratios(new_report, numerator, denominator):
-            new_keys.add((title, x))
+            say(name, f"{title}: table removed (present in baseline only)")
+
+        old_ratios = ratios(old_report, direction, numerator, denominator)
+        new_ratios = ratios(new_report, direction, numerator, denominator)
+        for (title, x), new_ratio in new_ratios.items():
             old_ratio = old_ratios.get((title, x))
             if old_ratio is None:
-                # Whole-table novelty is already reported above; only a point
-                # missing from a table both runs share needs its own line.
+                # Whole-table novelty is already reported above.
                 if title in old_titles:
-                    print(
-                        f"  {name} | {title} | x={x}: new point "
-                        f"(no baseline ratio, ungated this run)",
-                        file=out,
-                    )
+                    say(name, title, f"x={x}: new point (no baseline ratio, ungated this run)")
                 continue
-            if old_ratio <= 0:
-                # ratios() only emits positive quotients today, but a skip
-                # here must never be silent: a nonpositive baseline would
-                # otherwise un-gate the point without a trace.
-                print(
-                    f"  {name} | {title} | x={x}: baseline ratio "
-                    f"{old_ratio:.3f} <= 0 is not gateable; skipping",
-                    file=out,
-                )
-                continue
-            compared += 1
-            gated_tables.add((name, title))
             change = new_ratio / old_ratio
-            # Severity normalizes both directions onto one scale: > 1 means
-            # the ratio moved toward regression, whichever way "bad" points
-            # for this table. The single worst point feeds the end summary.
-            severity = 1.0 / change if direction == "higher" else change
-            if worst is None or severity > worst[0]:
-                worst = (severity, name, title, x, change)
-            # higher-is-better regresses when the ratio drops past the
-            # threshold; lower-is-better (latency) when it rises past the
-            # reciprocal bound, so the gate is symmetric either way.
-            if direction == "higher":
-                regressed = change < 1.0 - threshold
-            else:
-                regressed = change > 1.0 / (1.0 - threshold)
+            # Severity puts both directions on one scale: > 1 means the ratio
+            # moved toward regression, whichever way "bad" is for the table.
+            higher = direction[title] == "higher"
+            severity = 1.0 / change if higher else change
+            verdict.points += 1
+            verdict.tables.add((name, title))
+            if verdict.worst is None or severity > verdict.worst[0]:
+                verdict.worst = (severity, name, title, x, change)
+            regressed = (change < 1.0 - THRESHOLD) if higher else (change > 1.0 / (1.0 - THRESHOLD))
             marker = ""
             if regressed:
                 marker = "  <-- REGRESSION"
-                regressions.append((name, title, x, old_ratio, new_ratio, change))
-            tag = "" if direction == "higher" else " [lower-is-better]"
-            print(
-                f"  {name} | {title} | x={x}: "
-                f"{numerator}/{denominator} {old_ratio:.3f} -> {new_ratio:.3f} "
-                f"({change:.2f}x){tag}{marker}",
-                file=out,
-            )
-        # The symmetric direction: a point the baseline gated that the
-        # current run no longer produces (trimmed sweep, series gone
-        # nonpositive). Whole-table removals are already reported above.
-        for title, x in sorted(old_ratios.keys() - new_keys, key=str):
-            if title in new_titles:
-                print(
-                    f"  {name} | {title} | x={x}: point removed "
-                    f"(present in baseline only, nothing to gate)",
-                    file=out,
-                )
-    if summary is not None:
-        summary["points"] = compared
-        summary["tables"] = gated_tables
-        summary["worst"] = worst
-    return compared, regressions
+                verdict.regressions.append((name, title, x, old_ratio, new_ratio, change))
+            tag = "" if higher else " [lower-is-better]"
+            say(name, title,
+                f"x={x}: {numerator}/{denominator} {old_ratio:.3f} -> {new_ratio:.3f} "
+                f"({change:.2f}x){tag}{marker}")
+        for title, x in sorted(old_ratios.keys() - new_ratios.keys(), key=str):
+            say(name, title, f"x={x}: point removed (present in baseline only, nothing to gate)")
+    return verdict
 
 
 def self_test():
-    def table(rh1, tl2, metric):
-        return {
-            "title": "Figure 1" if metric == "total_ops" else "latency table",
+    def table(title, rh1, tl2, better="higher", xs=(1, 2, 4)):
+        t = {
+            "title": title,
             "style": "sweep",
             "x": "threads",
-            "primary_metric": metric,
+            "primary_metric": "m",
             "series": [
-                {
-                    "name": name,
-                    "points": [{"x": t, "metrics": {metric: v * t}} for t in (1, 2, 4)],
-                }
+                {"name": name, "points": [{"x": x, "metrics": {"m": v * x}} for x in xs]}
                 for name, v in (("RH1-Fast", rh1), ("TL2", tl2))
             ],
         }
+        if better is not None:
+            t["better"] = better
+        return t
 
-    def report(rh1, tl2, ns_rh1=10):
+    def report(rh1, tl2, ungated_rh1=10, extra=()):
         return {
             "schema": "rhtm-bench-report/v1",
             "scenario": "fig1_rbtree",
             "substrate": "emul",
             "tables": [
-                table(rh1, tl2, "total_ops"),
-                # Lower-is-better table: must never be gated, whichever way
-                # its ratio moves.
-                table(ns_rh1, 100, "ns_per_call"),
+                table("Figure 1", rh1, tl2),
+                # No "better" field: must never be gated, whichever way its
+                # ratio moves.
+                table("ungated table", ungated_rh1, 100, better=None),
+                *extra,
             ],
         }
 
-    def write(dirname, rep):
-        with open(os.path.join(dirname, "BENCH_fig1_rbtree.json"), "w") as f:
+    def write(dirname, rep, name="BENCH_fig1_rbtree.json"):
+        os.makedirs(dirname, exist_ok=True)
+        with open(os.path.join(dirname, name), "w") as f:
             json.dump(rep, f)
 
-    sink = open(os.devnull, "w")
+    def run(old, new):
+        log = io.StringIO()
+        return compare(old, new, "RH1-Fast", "TL2", log), log.getvalue()
+
     with tempfile.TemporaryDirectory() as tmp:
-        old_dir = os.path.join(tmp, "old")
-        ok_dir = os.path.join(tmp, "ok")
-        bad_dir = os.path.join(tmp, "bad")
-        for d in (old_dir, ok_dir, bad_dir):
-            os.mkdir(d)
+        old_dir, ok_dir, bad_dir = (os.path.join(tmp, d) for d in ("old", "ok", "bad"))
         # Baseline ratio 5.0; "ok" run is globally 3x slower but keeps the
         # ratio (the robustness the gate relies on); "bad" halves the ratio.
-        # Both runs swing the latency table's ratio wildly in both
+        # Both runs swing the ungated table's ratio wildly in both
         # directions — it must stay invisible to the gate.
-        write(old_dir, report(rh1=500, tl2=100, ns_rh1=100))
-        write(ok_dir, report(rh1=167, tl2=33, ns_rh1=10))
-        write(bad_dir, report(rh1=250, tl2=100, ns_rh1=1000))
+        write(old_dir, report(rh1=500, tl2=100, ungated_rh1=100))
+        write(ok_dir, report(rh1=167, tl2=33, ungated_rh1=10))
+        write(bad_dir, report(rh1=250, tl2=100, ungated_rh1=1000))
 
-        compared, regressions = compare(old_dir, ok_dir, "RH1-Fast", "TL2", 0.25, sink)
-        assert compared == 3, compared
-        assert not regressions, regressions
+        v, text = run(old_dir, ok_dir)
+        assert v.points == 3 and not v.regressions, text
+        assert "ungated table: no \"better\" direction" in text, text
+        # The "ok" run keeps the ratio up to integer rounding of 500/3, well
+        # inside the threshold's trip point.
+        assert v.worst[0] < 1.0 / (1.0 - THRESHOLD), v.worst
+        assert v.line().endswith("PASS"), v.line()
 
-        compared, regressions = compare(old_dir, bad_dir, "RH1-Fast", "TL2", 0.25, sink)
-        assert compared == 3, compared
-        assert len(regressions) == 3, regressions
+        v, text = run(old_dir, bad_dir)
+        assert v.points == 3 and len(v.regressions) == 3, text
+        assert v.tables == {("BENCH_fig1_rbtree.json", "Figure 1")}, v.tables
+        severity, name, _, _, change = v.worst
+        assert abs(change - 0.5) < 1e-9 and abs(severity - 2.0) < 1e-9, v.worst
+        line = v.line()
+        assert "3 points across 1 tables gated" in line, line
+        assert "worst 0.50x" in line and "FAIL (3 regression(s))" in line, line
 
         # A missing baseline file is a skip, not a failure.
         empty = os.path.join(tmp, "empty")
         os.mkdir(empty)
-        compared, regressions = compare(empty, ok_dir, "RH1-Fast", "TL2", 0.25, sink)
-        assert compared == 0 and not regressions
+        v, _ = run(empty, ok_dir)
+        assert v.points == 0 and not v.regressions
 
-        # New / removed reports and tables must surface as info lines (and
-        # never as regressions): a scenario present only in the current run
-        # is visibly ungated, one present only in the baseline is visibly
-        # gone.
-        import io
+        # A baseline written before tables carried "better" still gates: the
+        # direction comes from the fresh report.
+        legacy = report(rh1=500, tl2=100)
+        for t in legacy["tables"]:
+            t.pop("better", None)
+        write(os.path.join(tmp, "legacy"), legacy)
+        v, text = run(os.path.join(tmp, "legacy"), bad_dir)
+        assert v.points == 3 and len(v.regressions) == 3, text
+        assert "new table" not in text, text
 
-        with open(os.path.join(old_dir, "BENCH_gone_scenario.json"), "w") as f:
-            json.dump(report(rh1=500, tl2=100), f)
-        with open(os.path.join(ok_dir, "BENCH_fresh_scenario.json"), "w") as f:
-            json.dump(report(rh1=500, tl2=100), f)
-        ok_grown = report(rh1=167, tl2=33)
-        ok_grown["tables"].append(table(500, 100, "ops_per_sec"))
-        ok_grown["tables"][-1]["title"] = "brand-new table"
-        write(ok_dir, ok_grown)
-        old_grown = report(rh1=500, tl2=100)
-        old_grown["tables"].append(table(500, 100, "ops_per_sec"))
-        old_grown["tables"][-1]["title"] = "retired table"
-        write(old_dir, old_grown)
+        # A lower-is-better table (latency, fences, wasted speculation,
+        # placement penalty): a rising RH1/TL2 ratio must fail, a falling
+        # one (RH1 got cheaper) must pass — the inverse of throughput.
+        def cost(rh1):
+            return report(rh1=500, tl2=100, extra=[table("cost", rh1, 100, better="lower")])
 
-        log = io.StringIO()
-        compared, regressions = compare(old_dir, ok_dir, "RH1-Fast", "TL2", 0.25, log)
-        assert compared == 3, compared
-        assert not regressions, regressions
-        text = log.getvalue()
+        write(os.path.join(tmp, "cost_old"), cost(50))
+        write(os.path.join(tmp, "cost_bad"), cost(100))
+        write(os.path.join(tmp, "cost_good"), cost(25))
+        v, text = run(os.path.join(tmp, "cost_old"), os.path.join(tmp, "cost_bad"))
+        assert v.points == 6 and len(v.regressions) == 3, text
+        assert all(r[1] == "cost" for r in v.regressions), v.regressions
+        assert "[lower-is-better]" in text, text
+        v, text = run(os.path.join(tmp, "cost_old"), os.path.join(tmp, "cost_good"))
+        assert v.points == 6 and not v.regressions, text
+
+        # New / removed reports and tables surface as info lines, never as
+        # regressions.
+        write(old_dir, report(rh1=500, tl2=100), "BENCH_gone_scenario.json")
+        write(ok_dir, report(rh1=500, tl2=100), "BENCH_fresh_scenario.json")
+        write(ok_dir, report(rh1=167, tl2=33, extra=[table("brand-new table", 5, 1)]))
+        write(old_dir, report(rh1=500, tl2=100, extra=[table("retired table", 5, 1)]))
+        v, text = run(old_dir, ok_dir)
+        assert v.points == 3 and not v.regressions, text
         assert "BENCH_gone_scenario.json: removed" in text, text
         assert "BENCH_fresh_scenario.json: new report" in text, text
         assert "brand-new table: new table" in text, text
         assert "retired table: table removed" in text, text
-        # The unknown-direction table is skipped VISIBLY, never silently.
-        assert "'ns_per_call' has no gating direction" in text, text
 
-        # A point present only in the current run of a table BOTH runs share
-        # must surface as an explicit "new point" info line (never silently
-        # skipped), and must not count as compared.
-        sparse_old = os.path.join(tmp, "sparse_old")
-        os.mkdir(sparse_old)
+        # A point present in only one run of a table both runs share surfaces
+        # as "new point" / "point removed" and does not count as compared.
         trimmed = report(rh1=500, tl2=100)
-        for series in trimmed["tables"][0]["series"]:
-            series["points"] = [p for p in series["points"] if p["x"] != 4]
-        with open(os.path.join(sparse_old, "BENCH_fig1_rbtree.json"), "w") as f:
-            json.dump(trimmed, f)
-        log = io.StringIO()
-        compared, regressions = compare(sparse_old, ok_dir, "RH1-Fast", "TL2", 0.25, log)
-        assert compared == 2, compared
-        assert not regressions, regressions
-        text = log.getvalue()
-        assert "x=4: new point (no baseline ratio" in text, text
-
-        # ... and the symmetric direction: a point the BASELINE had that the
-        # current run dropped must surface as "point removed", never shrink
-        # the gated set silently.
-        sparse_new = os.path.join(tmp, "sparse_new")
-        os.mkdir(sparse_new)
-        with open(os.path.join(sparse_new, "BENCH_fig1_rbtree.json"), "w") as f:
-            json.dump(trimmed, f)
-        log = io.StringIO()
-        compared, regressions = compare(old_dir, sparse_new, "RH1-Fast", "TL2", 0.25, log)
-        assert compared == 2, compared
-        assert not regressions, regressions
-        text = log.getvalue()
-        assert "x=4: point removed (present in baseline only" in text, text
-
-        # Lower-is-better gating: the service scenario's tail-latency tables.
-        # A rising RH1/TL2 latency ratio must fail the gate; a falling one
-        # (RH1's tail got cheaper) must pass — the exact inversion of the
-        # throughput direction. achieved_per_sec rides along as
-        # higher-is-better.
-        def service_report(p99_rh1, p99_tl2, ach_rh1=400, ach_tl2=100):
-            def tbl(metric, rh1, tl2):
-                return {
-                    "title": f"service {metric} table",
-                    "style": "sweep",
-                    "x": "offered_rate",
-                    "primary_metric": metric,
-                    "series": [
-                        {
-                            "name": name,
-                            "points": [
-                                {"x": r, "metrics": {metric: v * r}} for r in (1, 2)
-                            ],
-                        }
-                        for name, v in (("RH1-Fast", rh1), ("TL2", tl2))
-                    ],
-                }
-
-            return {
-                "schema": "rhtm-bench-report/v1",
-                "scenario": "service",
-                "substrate": "emul",
-                "tables": [
-                    tbl("p99_us", p99_rh1, p99_tl2),
-                    tbl("achieved_per_sec", ach_rh1, ach_tl2),
-                ],
-            }
-
-        svc_old = os.path.join(tmp, "svc_old")
-        svc_ok = os.path.join(tmp, "svc_ok")
-        svc_bad = os.path.join(tmp, "svc_bad")
-        svc_improved = os.path.join(tmp, "svc_improved")
-        for d in (svc_old, svc_ok, svc_bad, svc_improved):
-            os.mkdir(d)
-
-        def write_svc(dirname, rep):
-            with open(os.path.join(dirname, "BENCH_service.json"), "w") as f:
-                json.dump(rep, f)
-
-        # Baseline: p99 ratio 0.5, achieved ratio 4.0.
-        write_svc(svc_old, service_report(p99_rh1=50, p99_tl2=100))
-        # Globally 2x slower run, ratios preserved: passes.
-        write_svc(svc_ok, service_report(p99_rh1=100, p99_tl2=200, ach_rh1=200, ach_tl2=50))
-        # RH1's tail doubled relative to TL2 (ratio 0.5 -> 1.0): must FAIL,
-        # while the unchanged achieved table stays green.
-        write_svc(svc_bad, service_report(p99_rh1=100, p99_tl2=100))
-        # RH1's tail halved relative to TL2 (ratio 0.5 -> 0.25): an
-        # improvement, must PASS (under throughput direction this 0.5x change
-        # would have been flagged).
-        write_svc(svc_improved, service_report(p99_rh1=25, p99_tl2=100))
-
-        compared, regressions = compare(svc_old, svc_ok, "RH1-Fast", "TL2", 0.25, sink)
-        assert compared == 4, compared
-        assert not regressions, regressions
-
-        log = io.StringIO()
-        compared, regressions = compare(svc_old, svc_bad, "RH1-Fast", "TL2", 0.25, log)
-        assert compared == 4, compared
-        assert len(regressions) == 2, regressions
-        assert all(r[1] == "service p99_us table" for r in regressions), regressions
-        assert "[lower-is-better]" in log.getvalue(), log.getvalue()
-
-        compared, regressions = compare(
-            svc_old, svc_improved, "RH1-Fast", "TL2", 0.25, sink
-        )
-        assert compared == 4, compared
-        assert not regressions, regressions
-
-        # fences_per_commit gating: the durable scenario's persistence-cost
-        # tables are lower-is-better too. RH1 paying more fences per commit
-        # relative to TL2 must FAIL; the fence ratio holding (or dropping)
-        # while throughput rides along must PASS.
-        def durable_report(fpc_rh1, fpc_tl2, ops_rh1=300, ops_tl2=100):
-            def tbl(metric, rh1, tl2):
-                return {
-                    "title": f"durable {metric} table",
-                    "style": "sweep",
-                    "x": "threads",
-                    "primary_metric": metric,
-                    "series": [
-                        {
-                            "name": name,
-                            "points": [
-                                {"x": t, "metrics": {metric: v * t}} for t in (1, 2)
-                            ],
-                        }
-                        for name, v in (("RH1-Fast", rh1), ("TL2", tl2))
-                    ],
-                }
-
-            return {
-                "schema": "rhtm-bench-report/v1",
-                "scenario": "durable",
-                "substrate": "sim",
-                "tables": [
-                    tbl("fences_per_commit", fpc_rh1, fpc_tl2),
-                    tbl("total_ops", ops_rh1, ops_tl2),
-                ],
-            }
-
-        dur_old = os.path.join(tmp, "dur_old")
-        dur_ok = os.path.join(tmp, "dur_ok")
-        dur_bad = os.path.join(tmp, "dur_bad")
-        for d in (dur_old, dur_ok, dur_bad):
-            os.mkdir(d)
-
-        def write_dur(dirname, rep):
-            with open(os.path.join(dirname, "BENCH_durable.json"), "w") as f:
-                json.dump(rep, f)
-
-        # Baseline fence ratio 1.0 (the path-independent fence arithmetic);
-        # "ok" halves RH1's fence bill, "bad" doubles it relative to TL2.
-        write_dur(dur_old, durable_report(fpc_rh1=9, fpc_tl2=9))
-        write_dur(dur_ok, durable_report(fpc_rh1=4.5, fpc_tl2=9))
-        write_dur(dur_bad, durable_report(fpc_rh1=18, fpc_tl2=9))
-
-        compared, regressions = compare(dur_old, dur_ok, "RH1-Fast", "TL2", 0.25, sink)
-        assert compared == 4, compared
-        assert not regressions, regressions
-
-        log = io.StringIO()
-        compared, regressions = compare(dur_old, dur_bad, "RH1-Fast", "TL2", 0.25, log)
-        assert compared == 4, compared
-        assert len(regressions) == 2, regressions
-        assert all(r[1] == "durable fences_per_commit table" for r in regressions), regressions
-        assert "[lower-is-better]" in log.getvalue(), log.getvalue()
-        # wasted_speculation_pct gating: the contention scenario's
-        # wasted-work view tables are lower-is-better. The adaptive policy
-        # burning MORE speculation relative to the fixed baseline must FAIL;
-        # burning less must PASS. Gated with the contention scenario's own
-        # series pair (adaptive vs fixed), not RH1-Fast/TL2.
-        def contention_report(w_adaptive, w_fixed, ops_adaptive=300, ops_fixed=100):
-            def tbl(metric, adaptive, fixed):
-                return {
-                    "title": f"contention {metric} table",
-                    "style": "sweep",
-                    "x": "threads",
-                    "primary_metric": metric,
-                    "series": [
-                        {
-                            "name": name,
-                            "points": [
-                                {"x": t, "metrics": {metric: v * t}} for t in (1, 2)
-                            ],
-                        }
-                        for name, v in (
-                            ("RH1-Mix100/adaptive", adaptive),
-                            ("RH1-Mix100/fixed", fixed),
-                        )
-                    ],
-                }
-
-            return {
-                "schema": "rhtm-bench-report/v1",
-                "scenario": "contention",
-                "substrate": "sim",
-                "tables": [
-                    tbl("wasted_speculation_pct", w_adaptive, w_fixed),
-                    tbl("total_ops", ops_adaptive, ops_fixed),
-                ],
-            }
-
-        cm_old = os.path.join(tmp, "cm_old")
-        cm_ok = os.path.join(tmp, "cm_ok")
-        cm_bad = os.path.join(tmp, "cm_bad")
-        for d in (cm_old, cm_ok, cm_bad):
-            os.mkdir(d)
-
-        def write_cm(dirname, rep):
-            with open(os.path.join(dirname, "BENCH_contention.json"), "w") as f:
-                json.dump(rep, f)
-
-        # Baseline: adaptive wastes half of what fixed does (ratio 0.5);
-        # "ok" drops the ratio further, "bad" pushes it past the bound.
-        write_cm(cm_old, contention_report(w_adaptive=10, w_fixed=20))
-        write_cm(cm_ok, contention_report(w_adaptive=5, w_fixed=20))
-        write_cm(cm_bad, contention_report(w_adaptive=20, w_fixed=20))
-
-        compared, regressions = compare(
-            cm_old, cm_ok, "RH1-Mix100/adaptive", "RH1-Mix100/fixed", 0.25, sink
-        )
-        assert compared == 4, compared
-        assert not regressions, regressions
-
-        log = io.StringIO()
-        compared, regressions = compare(
-            cm_old, cm_bad, "RH1-Mix100/adaptive", "RH1-Mix100/fixed", 0.25, log
-        )
-        assert compared == 4, compared
-        assert len(regressions) == 2, regressions
-        assert all(
-            r[1] == "contention wasted_speculation_pct table" for r in regressions
-        ), regressions
-        assert "[lower-is-better]" in log.getvalue(), log.getvalue()
-
-        # cross_socket_penalty gating: the numa scenario's compact/scatter
-        # placement-penalty tables are lower-is-better — RH1's cross-socket
-        # penalty growing relative to TL2's must FAIL; shrinking (RH1 got
-        # MORE placement-robust) must PASS, the exact inversion of the
-        # throughput direction.
-        def numa_report(pen_rh1, pen_tl2, ops_rh1=300, ops_tl2=100):
-            def tbl(metric, rh1, tl2):
-                return {
-                    "title": f"numa {metric} table",
-                    "style": "sweep",
-                    "x": "threads",
-                    "primary_metric": metric,
-                    "series": [
-                        {
-                            "name": name,
-                            "points": [
-                                {"x": t, "metrics": {metric: v * t}} for t in (1, 2)
-                            ],
-                        }
-                        for name, v in (("RH1-Fast", rh1), ("TL2", tl2))
-                    ],
-                }
-
-            return {
-                "schema": "rhtm-bench-report/v1",
-                "scenario": "numa",
-                "substrate": "sim",
-                "tables": [
-                    tbl("cross_socket_penalty", pen_rh1, pen_tl2),
-                    tbl("total_ops", ops_rh1, ops_tl2),
-                ],
-            }
-
-        numa_old = os.path.join(tmp, "numa_old")
-        numa_ok = os.path.join(tmp, "numa_ok")
-        numa_bad = os.path.join(tmp, "numa_bad")
-        for d in (numa_old, numa_ok, numa_bad):
-            os.mkdir(d)
-
-        def write_numa(dirname, rep):
-            with open(os.path.join(dirname, "BENCH_numa.json"), "w") as f:
-                json.dump(rep, f)
-
-        # Baseline: RH1 and TL2 pay the same placement penalty (ratio 1.0);
-        # "ok" halves RH1's penalty, "bad" doubles it relative to TL2.
-        write_numa(numa_old, numa_report(pen_rh1=2, pen_tl2=2))
-        write_numa(numa_ok, numa_report(pen_rh1=1, pen_tl2=2))
-        write_numa(numa_bad, numa_report(pen_rh1=4, pen_tl2=2))
-
-        compared, regressions = compare(numa_old, numa_ok, "RH1-Fast", "TL2", 0.25, sink)
-        assert compared == 4, compared
-        assert not regressions, regressions
-
-        log = io.StringIO()
-        compared, regressions = compare(numa_old, numa_bad, "RH1-Fast", "TL2", 0.25, log)
-        assert compared == 4, compared
-        assert len(regressions) == 2, regressions
-        assert all(
-            r[1] == "numa cross_socket_penalty table" for r in regressions
-        ), regressions
-        assert "[lower-is-better]" in log.getvalue(), log.getvalue()
-
-        # End-summary material: the summary out-param must report the gated
-        # point/table counts and pick the single worst-moving point, and the
-        # rendered line must carry the PASS/FAIL verdict.
-        summary = {}
-        compared, regressions = compare(
-            old_dir, bad_dir, "RH1-Fast", "TL2", 0.25, sink, summary=summary
-        )
-        assert summary["points"] == compared == 3, summary
-        assert summary["tables"] == {("BENCH_fig1_rbtree.json", "Figure 1")}, summary
-        severity, name, _, _, change = summary["worst"]
-        assert name == "BENCH_fig1_rbtree.json", summary
-        assert abs(change - 0.5) < 1e-9 and abs(severity - 2.0) < 1e-9, summary
-        line = summary_line(compared, summary, regressions)
-        assert "3 points across 1 tables gated" in line, line
-        assert "worst 0.50x" in line and "FAIL (3 regression(s))" in line, line
-        summary = {}
-        compared, regressions = compare(
-            old_dir, ok_dir, "RH1-Fast", "TL2", 0.25, sink, summary=summary
-        )
-        line = summary_line(compared, summary, regressions)
-        assert line.endswith("PASS"), line
-        # The "ok" run preserves the throughput ratio (up to integer
-        # rounding of 500/3), so the worst severity must sit well inside the
-        # threshold's trip point of 1/(1-0.25).
-        assert summary["worst"][0] < 1.0 / (1.0 - 0.25), summary
+        trimmed["tables"][0] = table("Figure 1", 500, 100, xs=(1, 2))
+        write(os.path.join(tmp, "sparse"), trimmed)
+        v, text = run(os.path.join(tmp, "sparse"), ok_dir)
+        assert v.points == 2 and "x=4: new point (no baseline ratio" in text, text
+        v, text = run(old_dir, os.path.join(tmp, "sparse"))
+        assert v.points == 2 and "x=4: point removed (present in baseline only" in text, text
     print("self-test passed")
     return 0
 
@@ -644,7 +299,6 @@ def main():
     parser.add_argument("new_dir", nargs="?", help="fresh bench-reports directory")
     parser.add_argument("--numerator", default="RH1-Fast")
     parser.add_argument("--denominator", default="TL2")
-    parser.add_argument("--threshold", type=float, default=0.25)
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
 
@@ -660,36 +314,19 @@ def main():
 
     print(
         f"gating {args.numerator}/{args.denominator} per (scenario, table, x), "
-        f"threshold {args.threshold:.0%}:"
+        f"threshold {THRESHOLD:.0%}:"
     )
-    summary = {}
-    compared, regressions = compare(
-        args.old_dir, args.new_dir, args.numerator, args.denominator, args.threshold,
-        summary=summary,
-    )
-    if compared == 0:
+    verdict = compare(args.old_dir, args.new_dir, args.numerator, args.denominator)
+    if verdict.points == 0:
         print("summary: 0 points gated (no overlapping tables/series); PASS")
         return 0
-    if regressions:
-        print(f"\n{len(regressions)} gated regression(s) of {compared} compared points:")
-        for name, title, x, old_r, new_r, change in regressions:
+    if verdict.regressions:
+        print(f"\n{len(verdict.regressions)} gated regression(s) of "
+              f"{verdict.points} compared points:")
+        for name, title, x, old_r, new_r, change in verdict.regressions:
             print(f"  {name} | {title} | x={x}: {old_r:.3f} -> {new_r:.3f} ({change:.2f}x)")
-    print(summary_line(compared, summary, regressions))
-    return 1 if regressions else 0
-
-
-def summary_line(compared, summary, regressions):
-    """The machine-greppable one-line verdict the CI log ends on."""
-    worst = summary.get("worst")
-    worst_txt = "no movement"
-    if worst is not None:
-        _, name, title, x, change = worst
-        worst_txt = f"worst {change:.2f}x at {name} | {title} | x={x}"
-    verdict = f"FAIL ({len(regressions)} regression(s))" if regressions else "PASS"
-    return (
-        f"summary: {compared} points across {len(summary.get('tables', ()))} "
-        f"tables gated; {worst_txt}; {verdict}"
-    )
+    print(verdict.line())
+    return 1 if verdict.regressions else 0
 
 
 if __name__ == "__main__":

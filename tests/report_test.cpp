@@ -203,13 +203,14 @@ report::BenchReport sample_report() {
   tl2.add_point(1).set("total_ops", 42);
 
   report::TableData& wide = rep.add_table("wide table", report::TableStyle::kWide,
-                                          "tx_words", "fast_pct");
+                                          "tx_words", "fast_pct", report::Better::kNone);
   wide.add_series("RH1").add_point(32).set("fast_pct", 99.125).set("rh2_pct", 0);
 
   // Open-loop service shape: latency percentiles, drop accounting and
   // offered-vs-achieved rate, fractional and integral mixed.
   report::TableData& open = rep.add_table("open-loop table", report::TableStyle::kSweep,
-                                          "offered_rate", "achieved_per_sec");
+                                          "offered_rate", "achieved_per_sec",
+                                          report::Better::kHigher);
   open.add_series("RH1-Fast")
       .add_point(20000)
       .set("offered_per_sec", 19987.25)
@@ -219,6 +220,13 @@ report::BenchReport sample_report() {
       .set("p99_us", 181.375)
       .set("p999_us", 905.0)
       .set("dropped", 486);
+
+  // A lower-is-better table: the round trip covers "better" written as
+  // "higher" (sweep, open-loop), "lower" (here) and absent (wide).
+  report::TableData& fences = rep.add_table("fence table", report::TableStyle::kSweep,
+                                            "threads", "fences_per_commit",
+                                            report::Better::kLower);
+  fences.add_series("RH1-Fast").add_point(1).set("fences_per_commit", 9);
   return rep;
 }
 
@@ -267,6 +275,11 @@ void test_roundtrip() {
     expect_string(got.get("title"), want.title);
     expect_string(got.get("x"), want.x_name);
     expect_string(got.get("primary_metric"), want.primary_metric);
+    if (want.better == report::Better::kNone) {
+      CHECK(got.get("better") == nullptr);
+    } else {
+      expect_string(got.get("better"), want.better == report::Better::kHigher ? "higher" : "lower");
+    }
     expect_string(got.get("style"),
                   want.style == report::TableStyle::kSweep ? "sweep" : "wide");
     const JsonValue* series = got.get("series");
@@ -355,7 +368,7 @@ void test_open_loop_fields_roundtrip() {
   const report::BenchReport rep = sample_report();
   const JsonValue root = JsonParser(rep.to_json()).parse();
   const JsonValue* tables = root.get("tables");
-  CHECK(tables != nullptr && tables->array.size() == 3);
+  CHECK(tables != nullptr && tables->array.size() == 4);
   const JsonValue& open = tables->array[2];
   expect_string(open.get("x"), "offered_rate");
   expect_string(open.get("primary_metric"), "achieved_per_sec");
